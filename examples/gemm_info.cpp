@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "quant/quant.hpp"
+#include "tensor/cpu.hpp"
 #include "tensor/gemm/gemm.hpp"
 #include "tensor/gemm/gemm_s8.hpp"
 
@@ -11,10 +12,6 @@ int main() {
   std::cout << "gemm dispatch kernel: " << saga::gemm::kernel_name() << "\n";
   std::cout << "cpu supports avx2+fma: "
             << (saga::gemm::cpu_supports_avx2() ? "yes" : "no") << "\n";
-  std::cout << "cpu supports avx512f: "
-            << (saga::gemm::cpu_supports_avx512f() ? "yes" : "no")
-            << " (no avx512 kernel yet; readiness probe for the ROADMAP "
-               "follow-up)\n";
   std::cout << "available kernels:";
   for (const saga::gemm::Kernel k : saga::gemm::available_kernels()) {
     std::cout << " " << saga::gemm::kernel_name(k);
@@ -26,12 +23,12 @@ int main() {
   std::cout << "cpu supports int8 avx2 (maddubs): "
             << (saga::gemm::cpu_supports_int8_avx2() ? "yes" : "no") << "\n";
   std::cout << "cpu supports avx-vnni: "
-            << (saga::gemm::cpu_supports_avx2_vnni() ? "yes" : "no")
+            << (saga::cpu::features().avx_vnni ? "yes" : "no")
             << " (vpdpbusd kernel "
             << (saga::gemm::cpu_supports_int8_avxvnni() ? "dispatchable"
                                                         : "not dispatchable")
             << "), avx512-vnni: "
-            << (saga::gemm::cpu_supports_avx512_vnni() ? "yes" : "no")
+            << (saga::cpu::features().avx512_vnni ? "yes" : "no")
             << " (vpdpbusd kernel "
             << (saga::gemm::cpu_supports_int8_avx512vnni() ? "dispatchable"
                                                            : "not dispatchable")

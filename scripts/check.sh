@@ -2,11 +2,15 @@
 # Tier-1 verification: the exact command CI, reviewers, and the ROADMAP use.
 # Run from anywhere; builds into <repo>/build.
 #
-#   ./scripts/check.sh            release build + full ctest suite
+#   ./scripts/check.sh            release build + full ctest suite, then the
+#                                 concurrency suites five more times at
+#                                 -j$(nproc) so a race fails the run instead
+#                                 of showing up as a rare abort
 #   ./scripts/check.sh --strict   same, with warnings-as-errors into
 #                                 <repo>/build-strict (the CI `strict` job)
 #   ./scripts/check.sh --tsan     ThreadSanitizer build into <repo>/build-tsan,
-#                                 running the serve + stream concurrency
+#                                 running the thread-pool fork-join stress
+#                                 (test_util), the serve + stream concurrency
 #                                 suites (SPSC ring producer/consumer pair,
 #                                 pump-thread handoff) plus the view-aliasing,
 #                                 fused-GRU and int8-quant suites (shared
@@ -28,8 +32,8 @@ cd "$(dirname "$0")/.."
 ASAN_TARGETS=(test_eltwise test_tensor_ops test_reduce_loss test_shape_ops
   test_matmul test_attention test_nn test_serve test_views test_gru_cell
   test_stream test_quant)
-TSAN_TARGETS=(test_serve test_views test_gru_cell test_stream test_quant
-  test_eltwise)
+TSAN_TARGETS=(test_util test_serve test_views test_gru_cell test_stream
+  test_quant test_eltwise)
 
 BUILD_DIR=build
 if [[ "${1:-}" == "--strict" ]]; then
@@ -63,6 +67,11 @@ fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"
+# The suites that fork-join over the shared pool from several threads, run
+# repeatedly under full parallel load: a completion race shows up here as a
+# red run, not as a flaky abort elsewhere.
+ctest --output-on-failure -j "$(nproc)" --repeat until-fail:5 \
+  -R "^(test_util|test_serve|test_stream|test_quant)"
 # Serve-bench smoke: one tiny setting per sweep, exercising the open-loop
 # bursty arrivals, Router work stealing, and the histogram export end to
 # end (capacity numbers from this run mean nothing — see docs/BASELINES.md

@@ -20,32 +20,22 @@
 #include <memory>
 #include <stdexcept>
 
+#include "tensor/cpu.hpp"
 #include "tensor/eltwise/kernels.hpp"
 #include "tensor/shape_ops.hpp"
-#include "util/env.hpp"
 
 namespace saga::eltwise {
 
 namespace {
 
-bool cpu_has_avx2_fma() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-// SAGA_FORCE_SCALAR_ELTWISE=1 pins dispatch to the portable kernels; read
-// once per process (mirrors SAGA_FORCE_SCALAR_GEMM).
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_ELTWISE", 0) != 0;
-  return forced;
+// SAGA_FORCE_SCALAR=1 (cpu::features) pins dispatch to the portable kernels.
+bool avx2_dispatchable() {
+  return cpu_supports_avx2() && !cpu::features().force_scalar;
 }
 
 Kernel resolve_auto() {
   static const Kernel picked =
-      (cpu_supports_avx2() && !force_scalar()) ? Kernel::kAvx2 : Kernel::kScalar;
+      avx2_dispatchable() ? Kernel::kAvx2 : Kernel::kScalar;
   return picked;
 }
 
@@ -57,13 +47,12 @@ const detail::Kernels& table_for(Kernel kernel) {
     case Kernel::kScalar:
       return detail::scalar_kernels();
     case Kernel::kAvx2: {
-      const detail::Kernels* table = detail::avx2_kernels();
-      if (table == nullptr || !cpu_has_avx2_fma()) {
+      if (!cpu_supports_avx2()) {
         throw std::runtime_error(
             "eltwise: AVX2 kernels requested but not available "
             "(unsupported CPU or build)");
       }
-      return *table;
+      return *detail::avx2_kernels();
     }
     case Kernel::kAuto:
       break;
@@ -85,12 +74,12 @@ void check_bias(const Tensor& x, const Tensor& bias, const char* op) {
 }  // namespace
 
 bool cpu_supports_avx2() {
-  return detail::avx2_kernels() != nullptr && cpu_has_avx2_fma();
+  return detail::avx2_kernels() != nullptr && cpu::features().avx2_fma;
 }
 
 std::vector<Kernel> available_kernels() {
   std::vector<Kernel> kernels{Kernel::kScalar};
-  if (cpu_supports_avx2() && !force_scalar()) kernels.push_back(Kernel::kAvx2);
+  if (avx2_dispatchable()) kernels.push_back(Kernel::kAvx2);
   return kernels;
 }
 

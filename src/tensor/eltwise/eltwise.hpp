@@ -17,8 +17,8 @@
 // changes forward arithmetic). The scalar kernel performs exactly the
 // composed ops' per-element arithmetic, so forced-scalar fused results are
 // bit-identical to the composed reference; the AVX2 kernel agrees to
-// rounding (like gemm's kernels). SAGA_FORCE_SCALAR_ELTWISE=1 pins dispatch
-// to scalar (read once per process).
+// rounding (like gemm's kernels). SAGA_FORCE_SCALAR=1 pins dispatch to
+// scalar, along with both GEMM paths (read once per process, cpu.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +30,14 @@
 namespace saga::eltwise {
 
 /// Kernel selector. kAuto resolves at runtime: AVX2+FMA when the CPU and
-/// build support it and SAGA_FORCE_SCALAR_ELTWISE is unset, else scalar.
+/// build support it and SAGA_FORCE_SCALAR is unset, else scalar.
 enum class Kernel { kAuto, kScalar, kAvx2 };
 
 /// True when this build contains the AVX2 eltwise kernels and the CPU
-/// reports AVX2+FMA. Ignores the SAGA_FORCE_SCALAR_ELTWISE override.
+/// reports AVX2+FMA. Ignores the SAGA_FORCE_SCALAR override.
 bool cpu_supports_avx2();
 
-/// Kernels dispatchable on this host, honoring SAGA_FORCE_SCALAR_ELTWISE.
+/// Kernels dispatchable on this host, honoring SAGA_FORCE_SCALAR.
 /// Always contains kScalar; test harnesses iterate this list.
 std::vector<Kernel> available_kernels();
 

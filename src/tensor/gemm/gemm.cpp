@@ -19,8 +19,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/cpu.hpp"
 #include "tensor/gemm/microkernel.hpp"
-#include "util/env.hpp"
 #include "util/thread_pool.hpp"
 
 namespace saga::gemm {
@@ -44,27 +44,14 @@ constexpr std::int64_t kNC = 384;
 constexpr std::int64_t kParallelThreshold = 1 << 15;
 constexpr std::int64_t kDirectThreshold = 1 << 13;
 
-bool compiled_with_avx2() { return detail::avx2_microkernel() != nullptr; }
-
-bool cpu_has_avx2_fma() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-// SAGA_FORCE_SCALAR_GEMM=1 pins dispatch to the portable kernel; read once
-// per process (the forced-scalar ctest entry sets it before launch).
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_GEMM", 0) != 0;
-  return forced;
+// SAGA_FORCE_SCALAR=1 (cpu::features) pins dispatch to the portable kernel.
+bool avx2_dispatchable() {
+  return cpu_supports_avx2() && !cpu::features().force_scalar;
 }
 
 Kernel resolve_auto() {
-  static const Kernel picked = (cpu_supports_avx2() && !force_scalar())
-                                   ? Kernel::kAvx2
-                                   : Kernel::kScalar;
+  static const Kernel picked =
+      avx2_dispatchable() ? Kernel::kAvx2 : Kernel::kScalar;
   return picked;
 }
 
@@ -74,17 +61,13 @@ detail::MicroKernelFn kernel_fn(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
       return nullptr;
-    case Kernel::kScalarBlocked:
-      return detail::scalar_microkernel();
-    case Kernel::kAvx2: {
-      detail::MicroKernelFn fn = detail::avx2_microkernel();
-      if (fn == nullptr || !cpu_has_avx2_fma() || force_scalar()) {
+    case Kernel::kAvx2:
+      if (!avx2_dispatchable()) {
         throw std::runtime_error(
             "gemm: AVX2 kernel requested but not available "
-            "(unsupported CPU/build, or SAGA_FORCE_SCALAR_GEMM=1)");
+            "(unsupported CPU/build, or SAGA_FORCE_SCALAR=1)");
       }
-      return fn;
-    }
+      return detail::avx2_microkernel();
     case Kernel::kAuto:
       break;
   }
@@ -248,32 +231,19 @@ void zero_rows(float* c, std::int64_t ldc, std::int64_t m0, std::int64_t m1,
 
 }  // namespace
 
-bool cpu_supports_avx2() { return compiled_with_avx2() && cpu_has_avx2_fma(); }
-
-bool cpu_supports_avx512f() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f");
-#else
-  return false;
-#endif
+bool cpu_supports_avx2() {
+  return detail::avx2_microkernel() != nullptr && cpu::features().avx2_fma;
 }
 
 std::vector<Kernel> available_kernels() {
-  std::vector<Kernel> kernels{Kernel::kScalar, Kernel::kScalarBlocked};
-  if (cpu_supports_avx2() && !force_scalar()) kernels.push_back(Kernel::kAvx2);
+  std::vector<Kernel> kernels{Kernel::kScalar};
+  if (avx2_dispatchable()) kernels.push_back(Kernel::kAvx2);
   return kernels;
 }
 
 std::string kernel_name(Kernel kernel) {
   if (kernel == Kernel::kAuto) kernel = resolve_auto();
-  switch (kernel) {
-    case Kernel::kAvx2:
-      return "avx2-6x16";
-    case Kernel::kScalarBlocked:
-      return "scalar-blocked";
-    default:
-      return "scalar";
-  }
+  return kernel == Kernel::kAvx2 ? "avx2-6x16" : "scalar";
 }
 
 void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,

@@ -9,13 +9,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/cpu.hpp"
 #include "tensor/gemm/microkernel_s8.hpp"
-#include "util/env.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <cpuid.h>
-#endif
 
 namespace saga::gemm {
 
@@ -29,65 +25,36 @@ using detail::kNR8;
 // fp32 driver).
 constexpr std::int64_t kParallelThreshold = 1 << 15;
 
-bool compiled_with_int8_avx2() {
-  return detail::avx2_s8_microkernel() != nullptr;
-}
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-// The EVEX-encoded 256-bit vpdpbusd additionally needs AVX512VL; the builtin
-// also folds in the XSAVE/XCR0 opmask+zmm state check, which raw CPUID bits
-// alone would miss. (For the VEX kernel, cpu_has_avx2() covers YMM state —
-// "avxvnni" is not a portable __builtin_cpu_supports token.)
-bool cpu_has_avx512vl() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-// SAGA_FORCE_SCALAR_GEMM pins the int8 path along with the fp32 one: a
-// forced-scalar test run should exercise no SIMD GEMM of any precision.
-bool force_scalar() {
-  static const bool forced = util::env_int("SAGA_FORCE_SCALAR_GEMM", 0) != 0;
-  return forced;
-}
-
 // Per-thread test/bench pin installed by ForceInt8KernelGuard.
 thread_local Int8Kernel t_forced = Int8Kernel::kAuto;
 
-Int8Kernel resolve_auto() {
-  if (t_forced != Int8Kernel::kAuto) return t_forced;
-  static const Int8Kernel picked = [] {
-    if (force_scalar()) return Int8Kernel::kScalar;
-    if (cpu_supports_int8_avx512vnni()) return Int8Kernel::kAvx512Vnni;
-    if (cpu_supports_int8_avxvnni()) return Int8Kernel::kAvxVnni;
-    if (cpu_supports_int8_avx2()) return Int8Kernel::kAvx2;
-    return Int8Kernel::kScalar;
-  }();
-  return picked;
-}
-
+// SAGA_FORCE_SCALAR (cpu::features) leaves only the scalar reference, along
+// with fp32 gemm and eltwise: a forced-scalar run exercises no SIMD kernel.
 bool kernel_available(Int8Kernel kernel) {
   switch (kernel) {
     case Int8Kernel::kAuto:
     case Int8Kernel::kScalar:
       return true;
     case Int8Kernel::kAvx2:
-      return cpu_supports_int8_avx2() && !force_scalar();
+      return cpu_supports_int8_avx2() && !cpu::features().force_scalar;
     case Int8Kernel::kAvxVnni:
-      return cpu_supports_int8_avxvnni() && !force_scalar();
+      return cpu_supports_int8_avxvnni() && !cpu::features().force_scalar;
     case Int8Kernel::kAvx512Vnni:
-      return cpu_supports_int8_avx512vnni() && !force_scalar();
+      return cpu_supports_int8_avx512vnni() && !cpu::features().force_scalar;
   }
   return false;
+}
+
+Int8Kernel resolve_auto() {
+  if (t_forced != Int8Kernel::kAuto) return t_forced;
+  static const Int8Kernel picked = [] {
+    for (const Int8Kernel k : {Int8Kernel::kAvx512Vnni, Int8Kernel::kAvxVnni,
+                               Int8Kernel::kAvx2}) {
+      if (kernel_available(k)) return k;
+    }
+    return Int8Kernel::kScalar;
+  }();
+  return picked;
 }
 
 detail::Int8MicroKernelFn kernel_fn(Int8Kernel resolved) {
@@ -191,39 +158,20 @@ void check_a_range(const std::uint8_t* a, std::int64_t lda, std::int64_t m,
 }  // namespace
 
 bool cpu_supports_int8_avx2() {
-  return compiled_with_int8_avx2() && cpu_has_avx2();
+  return detail::avx2_s8_microkernel() != nullptr && cpu::features().avx2;
 }
 
 bool cpu_supports_int8_avxvnni() {
-  // cpu_has_avx2() stands in for the OS YMM-state check that raw CPUID leaf
-  // 7.1 alone does not make.
-  return detail::avxvnni_s8_microkernel() != nullptr &&
-         cpu_supports_avx2_vnni() && cpu_has_avx2();
+  // `avx2` stands in for the OS YMM-state check that the raw CPUID leaf 7.1
+  // bit alone does not make.
+  const cpu::Features& f = cpu::features();
+  return detail::avxvnni_s8_microkernel() != nullptr && f.avx_vnni && f.avx2;
 }
 
 bool cpu_supports_int8_avx512vnni() {
-  return detail::avx512vnni_s8_microkernel() != nullptr &&
-         cpu_supports_avx512_vnni() && cpu_has_avx512vl();
-}
-
-bool cpu_supports_avx2_vnni() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (eax & (1U << 4)) != 0;  // AVX-VNNI
-#else
-  return false;
-#endif
-}
-
-bool cpu_supports_avx512_vnni() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ecx & (1U << 11)) != 0;  // AVX512_VNNI
-#else
-  return false;
-#endif
+  const cpu::Features& f = cpu::features();
+  return detail::avx512vnni_s8_microkernel() != nullptr && f.avx512_vnni &&
+         f.avx512vl;
 }
 
 std::vector<Int8Kernel> available_int8_kernels() {
@@ -307,7 +255,7 @@ void gemm_s8(const std::uint8_t* a, std::int64_t lda, const PackedB8& b,
   if (!kernel_available(kernel)) {
     throw std::runtime_error("gemm_s8: kernel '" + int8_kernel_name(kernel) +
                              "' requested but not available (unsupported "
-                             "CPU/build, or SAGA_FORCE_SCALAR_GEMM=1)");
+                             "CPU/build, or SAGA_FORCE_SCALAR=1)");
   }
   const Int8Kernel resolved =
       kernel == Int8Kernel::kAuto ? resolve_auto() : kernel;

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace saga::util {
@@ -59,9 +58,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     return;
   }
 
-  std::atomic<std::size_t> remaining{chunks};
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  std::size_t remaining = chunks;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -78,34 +77,24 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
           std::lock_guard<std::mutex> elock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mutex);
-          done_cv.notify_all();
-        }
+        // Decrement under done_mutex: the caller can only observe 0 (and
+        // destroy done_mutex/done_cv with its stack frame) after this lock
+        // is released, so the notify never touches a dead condition variable.
+        std::lock_guard<std::mutex> dlock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
   }
   cv_.notify_all();
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  if (begin >= end) return;
-  if (end - begin <= grain) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  ThreadPool::global().parallel_for(begin, end, fn);
 }
 
 }  // namespace saga::util

@@ -45,10 +45,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience wrapper over ThreadPool::global().parallel_for. Falls back to
-/// a serial loop for tiny ranges where dispatch overhead dominates.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
+/// Convenience forward to ThreadPool::global().parallel_for (which already
+/// runs a one-element range inline).
+inline void parallel_for(std::size_t begin, std::size_t end,
+                         const std::function<void(std::size_t)>& fn) {
+  ThreadPool::global().parallel_for(begin, end, fn);
+}
 
 }  // namespace saga::util

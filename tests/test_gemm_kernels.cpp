@@ -1,5 +1,5 @@
 // Kernel-equivalence harness for the blocked/packed GEMM unit: every
-// dispatchable micro-kernel (scalar, AVX2 when the host has it) is checked
+// dispatchable kernel (scalar, AVX2 when the host has it) is checked
 // against a triple-loop double-accumulator reference over randomized shapes —
 // all four trans combos, a full M/N/K cross product plus ragged edge tiles,
 // accumulate on and off — and pinned for determinism (bit-identical across
@@ -11,7 +11,9 @@
 #include <iostream>
 #include <vector>
 
+#include "tensor/eltwise/eltwise.hpp"
 #include "tensor/gemm/gemm.hpp"
+#include "tensor/gemm/gemm_s8.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
@@ -100,14 +102,18 @@ TEST(GemmKernels, ReportsKernelName) {
 }
 
 TEST(GemmKernels, HonorsForceScalarEnv) {
-  const char* forced = std::getenv("SAGA_FORCE_SCALAR_GEMM");
+  const char* forced = std::getenv("SAGA_FORCE_SCALAR");
   if (forced != nullptr && std::atoll(forced) != 0) {
-    // Forced-scalar run (the test_gemm_kernels_forced_scalar ctest entry):
-    // only the portable kernels may be dispatchable.
+    // Forced-scalar run (the *_forced_scalar ctest entries): the one pin
+    // sends all three dispatchers — fp32 gemm, int8 gemm, eltwise — to
+    // their portable kernels.
     EXPECT_EQ(gemm::kernel_name(), "scalar");
-    ASSERT_EQ(gemm::available_kernels().size(), 2U);
+    EXPECT_EQ(gemm::int8_kernel_name(), "scalar");
+    EXPECT_EQ(eltwise::kernel_name(), "scalar");
+    ASSERT_EQ(gemm::available_kernels().size(), 1U);
     EXPECT_EQ(gemm::available_kernels()[0], gemm::Kernel::kScalar);
-    EXPECT_EQ(gemm::available_kernels()[1], gemm::Kernel::kScalarBlocked);
+    ASSERT_EQ(gemm::available_int8_kernels().size(), 1U);
+    ASSERT_EQ(eltwise::available_kernels().size(), 1U);
     const float one = 1.0F;
     float out = 0.0F;
     EXPECT_THROW(gemm::gemm(&one, &one, &out, 1, 1, 1, false, false, false,
@@ -115,7 +121,7 @@ TEST(GemmKernels, HonorsForceScalarEnv) {
                  std::runtime_error);
   } else if (gemm::cpu_supports_avx2()) {
     EXPECT_EQ(gemm::kernel_name(), "avx2-6x16");
-    ASSERT_EQ(gemm::available_kernels().size(), 3U);
+    ASSERT_EQ(gemm::available_kernels().size(), 2U);
   } else {
     EXPECT_EQ(gemm::kernel_name(), "scalar");
   }

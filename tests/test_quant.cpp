@@ -19,6 +19,7 @@
 #include "quant/quantize.hpp"
 #include "serve/artifact.hpp"
 #include "serve/engine.hpp"
+#include "tensor/cpu.hpp"
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/gemm/gemm_s8.hpp"
 #include "tensor/grad_mode.hpp"
@@ -337,23 +338,23 @@ TEST(GemmS8, VnniKernelsSkipCleanlyWithoutCpuSupport) {
   // probes to the CPUID bits they gate on.
   if (!gemm::cpu_supports_int8_avxvnni()) {
     std::cout << "[  SKIPPED ] avx-vnni kernel unavailable (CPUID AVX-VNNI="
-              << gemm::cpu_supports_avx2_vnni() << "); scalar/AVX2 coverage "
+              << cpu::features().avx_vnni << "); scalar/AVX2 coverage "
               << "only on this host\n";
     EXPECT_THROW(gemm::ForceInt8KernelGuard g(gemm::Int8Kernel::kAvxVnni),
                  std::runtime_error);
   }
   if (!gemm::cpu_supports_int8_avx512vnni()) {
     std::cout << "[  SKIPPED ] avx512-vnni kernel unavailable (CPUID "
-              << "AVX512-VNNI=" << gemm::cpu_supports_avx512_vnni() << ")\n";
+              << "AVX512-VNNI=" << cpu::features().avx512_vnni << ")\n";
     EXPECT_THROW(gemm::ForceInt8KernelGuard g(gemm::Int8Kernel::kAvx512Vnni),
                  std::runtime_error);
   }
   // Availability implies the CPUID bit (the converse needs build support).
   if (gemm::cpu_supports_int8_avxvnni()) {
-    EXPECT_TRUE(gemm::cpu_supports_avx2_vnni());
+    EXPECT_TRUE(cpu::features().avx_vnni);
   }
   if (gemm::cpu_supports_int8_avx512vnni()) {
-    EXPECT_TRUE(gemm::cpu_supports_avx512_vnni());
+    EXPECT_TRUE(cpu::features().avx512_vnni);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <cstring>
 #include <fstream>
@@ -107,6 +109,50 @@ TEST(ThreadPool, PropagatesExceptions) {
       ThreadPool::global().parallel_for(
           0, 100, [](std::size_t i) { if (i == 50) throw std::runtime_error("boom"); }),
       std::runtime_error);
+}
+
+// One short fork-join run `depth` frames below the caller, so consecutive
+// calls place parallel_for's stack-local completion state at different
+// addresses. Returns how many indices ran (pool.size() when complete).
+[[gnu::noinline]] int fork_join_at_depth(ThreadPool& pool, int depth) {
+  if (depth == 0) {
+    std::atomic<int> hits{0};
+    pool.parallel_for(0, pool.size(), [&](std::size_t) {
+      hits.fetch_add(1, std::memory_order_relaxed);
+    });
+    return hits.load();
+  }
+  volatile std::size_t pad[16] = {};  // shifts the frames below this one
+  pad[depth % 16] = depth;
+  return fork_join_at_depth(pool, depth - 1) +
+         static_cast<int>(pad[depth % 16]) - depth;
+}
+
+// parallel_for's completion mutex and count live on the caller's stack. If
+// the last worker could decrement the count before locking that mutex to
+// notify, the caller could see zero, return and reuse the stack while the
+// worker was still about to lock it. Many short fork-joins from several
+// clients into a core-count pool (more runnable threads than cores), each
+// from a different stack depth, abort or crash in about half the runs on a
+// 4-core host when the decrement is outside the lock.
+TEST(ThreadPool, ConcurrentShortParallelForsComplete) {
+  ThreadPool pool(std::max(1U, std::thread::hardware_concurrency()));
+  constexpr int kClients = 4;
+  constexpr int kCalls = 5000;
+  std::atomic<int> incomplete{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&] {
+      for (int call = 0; call < kCalls; ++call) {
+        if (fork_join_at_depth(pool, call % 8) !=
+            static_cast<int>(pool.size())) {
+          incomplete.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(incomplete.load(), 0);
 }
 
 TEST(Serialize, RoundTripsBlobs) {
