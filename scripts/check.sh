@@ -13,9 +13,11 @@
 #                                 (test_util), the serve + stream concurrency
 #                                 suites (SPSC ring producer/consumer pair,
 #                                 pump-thread handoff) plus the view-aliasing,
-#                                 fused-GRU and int8-quant suites (shared
-#                                 Storage buffers under the pooled matmul
-#                                 backward; gemm_s8's M-split over the pool;
+#                                 fused-GRU, int8-quant and fused-attention
+#                                 suites (shared Storage buffers under the
+#                                 pooled matmul backward; gemm_s8's M-split
+#                                 over the pool; attention's per-(b, h)
+#                                 gradient slices written from pool workers;
 #                                 the full suite under TSan is too slow)
 #   ./scripts/check.sh --asan     AddressSanitizer build into <repo>/build-asan,
 #                                 running the tensor-stack + serve + stream +
@@ -33,7 +35,7 @@ ASAN_TARGETS=(test_eltwise test_tensor_ops test_reduce_loss test_shape_ops
   test_matmul test_attention test_nn test_serve test_views test_gru_cell
   test_stream test_quant)
 TSAN_TARGETS=(test_util test_serve test_views test_gru_cell test_stream
-  test_quant test_eltwise)
+  test_quant test_eltwise test_attention)
 
 BUILD_DIR=build
 if [[ "${1:-}" == "--strict" ]]; then

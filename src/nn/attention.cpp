@@ -32,13 +32,10 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
     throw std::invalid_argument("attention: expects [B, T, " +
                                 std::to_string(dim_) + "]");
   }
-  if (use_fused_) {
-    const Tensor q = wq_->forward(x);
-    const Tensor k = wk_->forward(x);
-    const Tensor v = wv_->forward(x);
-    return wo_->forward(fused_multi_head_attention(q, k, v, heads_));
-  }
-  return forward_composed(x);
+  const Tensor q = wq_->forward(x);
+  const Tensor k = wk_->forward(x);
+  const Tensor v = wv_->forward(x);
+  return wo_->forward(fused_multi_head_attention(q, k, v, heads_));
 }
 
 Tensor MultiHeadSelfAttention::forward_composed(const Tensor& x) {

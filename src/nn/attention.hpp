@@ -10,9 +10,9 @@
 namespace saga::nn {
 
 /// Scaled dot-product multi-head self-attention over [B, T, D] sequences.
-/// D must be divisible by num_heads. Two execution paths produce identical
-/// math: the fused kernel (default; single pass, minimal intermediates) and
-/// a composed path built from primitive ops, kept for differential testing.
+/// D must be divisible by num_heads. forward runs the fused kernel (single
+/// pass, minimal intermediates); forward_composed builds the same math from
+/// primitive ops, kept for differential testing.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(std::int64_t dim, std::int64_t num_heads,
@@ -24,7 +24,6 @@ class MultiHeadSelfAttention : public Module {
   /// attention-probability dropout, which only the composed path applies).
   Tensor forward_composed(const Tensor& x);
 
-  void set_use_fused(bool use_fused) noexcept { use_fused_ = use_fused; }
   std::int64_t num_heads() const noexcept { return heads_; }
 
  private:
@@ -36,7 +35,6 @@ class MultiHeadSelfAttention : public Module {
   std::shared_ptr<Linear> wv_;
   std::shared_ptr<Linear> wo_;
   std::shared_ptr<Dropout> attn_dropout_;
-  bool use_fused_ = true;
 };
 
 }  // namespace saga::nn

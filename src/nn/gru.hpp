@@ -33,12 +33,6 @@ class GRUCell : public Module {
   /// one timestep selected from the layer's [B, T, 3H] gate buffer).
   Tensor step(const Tensor& gi, const Tensor& h) const;
 
-  /// Reference implementation of step as the composed sigmoid/tanh/mul/add
-  /// gate chain. Kept for the fused cell's bit-identity tests: under the
-  /// forced-scalar eltwise kernel, step and step_composed produce identical
-  /// bits forward and backward.
-  Tensor step_composed(const Tensor& gi, const Tensor& h) const;
-
   std::int64_t hidden_dim() const noexcept { return hidden_; }
 
   /// Gate weight matrices [in, 3H] / [H, 3H]; exposed read-only for

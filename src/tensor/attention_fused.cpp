@@ -1,8 +1,10 @@
 #include "tensor/attention_fused.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
+#include "tensor/eltwise/kernels.hpp"
 #include "tensor/gemm/gemm.hpp"
 #include "tensor/shape_ops.hpp"
 #include "util/thread_pool.hpp"
@@ -52,17 +54,23 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
   const float* kd = k.data().data();
   const float* vd = v.data().data();
 
-  std::vector<float> out(static_cast<std::size_t>(batch * seq * dim), 0.0F);
+  std::vector<float> out(static_cast<std::size_t>(batch * seq * dim));
   // Softmax probabilities are backward-only state. Under the tape they are
   // saved for all pairs ([B, H, T, T], shared with the backward closure);
   // under NoGrad each worker reuses a per-thread [T, T] scratch instead —
-  // same arithmetic, no B*H-sized allocation.
+  // same arithmetic, no B*H-sized allocation. The saved buffer is left
+  // uninitialized: the scores GEMM overwrites every element, and each worker
+  // first-touches its own pairs.
   const bool tape = detail::tape_active({&q, &k, &v});
-  std::shared_ptr<std::vector<float>> probs;
+  std::shared_ptr<float[]> probs;
   if (tape) {
-    probs = std::make_shared<std::vector<float>>(
+    probs = std::make_shared_for_overwrite<float[]>(
         static_cast<std::size_t>(batch * num_heads * seq * seq));
   }
+  // The softmax kernel pair is resolved here, on the calling thread: the
+  // (b, h) loop runs on pool workers, and a caller's eltwise pin is
+  // thread-local. The backward closure reuses the forward's pair.
+  const eltwise::detail::Kernels* kt = &eltwise::detail::active_kernels();
 
   const std::int64_t pairs = batch * num_heads;
   util::parallel_for(0, static_cast<std::size_t>(pairs), [&](std::size_t pair) {
@@ -72,7 +80,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
     thread_local std::vector<float> scores_scratch;
     float* prow_base;
     if (tape) {
-      prow_base = probs->data() + pair * seq * seq;
+      prow_base = probs.get() + pair * seq * seq;
     } else {
       if (static_cast<std::int64_t>(scores_scratch.size()) < seq * seq) {
         scores_scratch.resize(static_cast<std::size_t>(seq * seq));
@@ -86,21 +94,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
               head_dim, /*trans_a=*/false, /*trans_b=*/true,
               /*accumulate=*/false);
     // Scale + row-wise stable softmax in place.
-    for (std::int64_t i = 0; i < seq; ++i) {
-      float* prow = prow_base + i * seq;
-      float max_v = -1e30F;
-      for (std::int64_t j = 0; j < seq; ++j) {
-        prow[j] *= inv_sqrt_d;
-        max_v = std::max(max_v, prow[j]);
-      }
-      float denom = 0.0F;
-      for (std::int64_t j = 0; j < seq; ++j) {
-        prow[j] = std::exp(prow[j] - max_v);
-        denom += prow[j];
-      }
-      const float inv_denom = 1.0F / denom;
-      for (std::int64_t j = 0; j < seq; ++j) prow[j] *= inv_denom;
-    }
+    kt->softmax_rows(prow_base, seq, seq, inv_sqrt_d);
     // Context: Out_h = P x V_h.
     head_gemm(prow_base, seq, vd + offset(b, 0, c0, seq, dim), dim,
               out.data() + offset(b, 0, c0, seq, dim), dim, seq, head_dim, seq,
@@ -110,7 +104,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
   return detail::make_result(
       q.shape(), std::move(out), {&q, &k, &v}, "fused_attention", [&] {
     return [q_impl = q.impl(), k_impl = k.impl(), v_impl = v.impl(), probs,
-            batch, seq, dim, num_heads, head_dim,
+            kt, batch, seq, dim, num_heads, head_dim,
             inv_sqrt_d](const TensorImpl& o) {
         const bool need_q = detail::wants_grad(*q_impl);
         const bool need_k = detail::wants_grad(*k_impl);
@@ -130,7 +124,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
           const std::int64_t b = static_cast<std::int64_t>(pair) / num_heads;
           const std::int64_t h = static_cast<std::int64_t>(pair) % num_heads;
           const std::int64_t c0 = h * head_dim;
-          const float* prow_base = probs->data() + pair * seq * seq;
+          const float* prow_base = probs.get() + pair * seq * seq;
           const float* go_h = go + offset(b, 0, c0, seq, dim);
 
           // dV_h += P^T x dOut_h.
@@ -152,15 +146,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
           head_gemm(go_h, dim, v_impl->data_ptr() + offset(b, 0, c0, seq, dim),
                     dim, ds.data(), seq, seq, seq, head_dim, /*trans_a=*/false,
                     /*trans_b=*/true, /*accumulate=*/false);
-          for (std::int64_t i = 0; i < seq; ++i) {
-            const float* prow = prow_base + i * seq;
-            float* dsrow = ds.data() + i * seq;
-            float dot_dp_p = 0.0F;
-            for (std::int64_t j = 0; j < seq; ++j) dot_dp_p += dsrow[j] * prow[j];
-            for (std::int64_t j = 0; j < seq; ++j) {
-              dsrow[j] = prow[j] * (dsrow[j] - dot_dp_p) * inv_sqrt_d;
-            }
-          }
+          kt->softmax_rows_bwd(prow_base, ds.data(), seq, seq, inv_sqrt_d);
           // dQ_h += dS x K_h and dK_h += dS^T x Q_h.
           if (gq != nullptr) {
             head_gemm(ds.data(), seq, kb + offset(b, 0, c0, seq, dim), dim,

@@ -60,8 +60,6 @@ const detail::Kernels& table_for(Kernel kernel) {
   return table_for(t_forced != Kernel::kAuto ? t_forced : resolve_auto());
 }
 
-const detail::Kernels& active_table() { return table_for(Kernel::kAuto); }
-
 void check_bias(const Tensor& x, const Tensor& bias, const char* op) {
   if (bias.dim() != 1 || x.dim() < 1 || x.size(-1) != bias.numel()) {
     throw std::invalid_argument(std::string(op) + ": bias must be [D] with D" +
@@ -72,6 +70,10 @@ void check_bias(const Tensor& x, const Tensor& bias, const char* op) {
 }
 
 }  // namespace
+
+const detail::Kernels& detail::active_kernels() {
+  return table_for(Kernel::kAuto);
+}
 
 bool cpu_supports_avx2() {
   return detail::avx2_kernels() != nullptr && cpu::features().avx2_fma;
@@ -103,7 +105,7 @@ Tensor bias_add(const Tensor& x_in, const Tensor& bias_in) {
   const Tensor bias = contiguous(bias_in);
   const std::int64_t m = bias.numel();
   const std::int64_t blocks = x.numel() / m;
-  const detail::Kernels& kt = active_table();
+  const detail::Kernels& kt = detail::active_kernels();
   std::vector<float> out(static_cast<std::size_t>(x.numel()));
   kt.tile_add(x.impl()->data_ptr(), bias.impl()->data_ptr(), 1.0F, out.data(),
               blocks, m);
@@ -140,7 +142,7 @@ Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
   const Tensor tile = contiguous(tile_in);
   const std::int64_t m = tile.numel();
   const std::int64_t blocks = x.numel() / m;
-  const detail::Kernels& kt = active_table();
+  const detail::Kernels& kt = detail::active_kernels();
   std::vector<float> out(static_cast<std::size_t>(x.numel()));
   kt.tile_add(x.impl()->data_ptr(), tile.impl()->data_ptr(), alpha, out.data(),
               blocks, m);
@@ -168,7 +170,7 @@ Tensor bias_gelu(const Tensor& x_in, const Tensor& bias_in) {
   const Tensor bias = with_bias ? contiguous(bias_in) : bias_in;
   const std::int64_t m = with_bias ? bias.numel() : x.numel();
   const std::int64_t blocks = with_bias ? x.numel() / m : 1;
-  const detail::Kernels& kt = active_table();
+  const detail::Kernels& kt = detail::active_kernels();
   std::vector<float> out(static_cast<std::size_t>(x.numel()));
   kt.bias_gelu(x.impl()->data_ptr(),
                with_bias ? bias.impl()->data_ptr() : nullptr, out.data(),
@@ -217,7 +219,7 @@ Tensor residual_layer_norm(const Tensor& x_in, const Tensor& residual_in,
   const Tensor residual = with_residual ? contiguous(residual_in) : residual_in;
   const Tensor gamma = contiguous(gamma_in);
   const Tensor beta = contiguous(beta_in);
-  const detail::Kernels& kt = active_table();
+  const detail::Kernels& kt = detail::active_kernels();
   // xhat / inv_std are backward-only state: computed and saved only when the
   // tape is active (the y arithmetic is identical either way, keeping NoGrad
   // and tape forwards bit-identical).
@@ -291,7 +293,7 @@ Tensor gru_cell(const Tensor& gi_in, const Tensor& gh_in, const Tensor& h_in) {
   const std::int64_t gi_stride = gi.impl()->strides[0];
   const Tensor gh = contiguous(gh_in);
   const Tensor h = contiguous(h_in);
-  const detail::Kernels& kt = active_table();
+  const detail::Kernels& kt = detail::active_kernels();
   // Gate activations r/z/n are backward-only state, saved only when the tape
   // is active; the forward arithmetic is identical either way.
   const bool tape = saga::detail::tape_active({&gi, &gh, &h});
@@ -335,8 +337,8 @@ void bias_act_quantize(const float* x, const float* bias, std::int64_t rows,
   // arithmetic exactly — the fused path must be bit-identical to the
   // two-pass composition it replaces.
   const float inv = 1.0F / act_scale;
-  active_table().bias_act_quant(x, bias, gelu, inv, act_zero, act_max, out,
-                                out_stride, rows, d);
+  detail::active_kernels().bias_act_quant(x, bias, gelu, inv, act_zero,
+                                          act_max, out, out_stride, rows, d);
 }
 
 }  // namespace saga::eltwise

@@ -1,6 +1,9 @@
 // saga::eltwise — the fused elementwise engine behind the nn/model hot
-// paths: bias adds, bias+GELU, residual+layer-norm, and tiled broadcast
-// (positional) adds, each with forward and backward.
+// paths: bias adds, bias+GELU, residual+layer-norm, tiled broadcast
+// (positional) adds and the GRU cell, each with forward and backward; the
+// int8 bias+activation quantize epilogue; and attention's score-row softmax
+// and its backward (kernel-table entries that fused_multi_head_attention
+// calls directly, see kernels.hpp).
 //
 // Why a unit of its own: after the GEMM rewrite, roughly half of backbone
 // forward time sat in composed elementwise chains — every `add(y, bias)`

@@ -3,14 +3,14 @@
 // driver dispatches here only after a runtime CPUID check, so the library
 // stays baseline-ISA safe.
 //
-// The GELU kernels use a vectorized Cephes-style expf (range reduction to
-// exp(g) * 2^n with a degree-6 polynomial, ~1 ulp) and tanh(z) =
-// (e - 1) / (e + 1) with e = exp(2z). The layer-norm reductions accumulate
-// in 4-lane double vectors to preserve the scalar path's double-precision
-// mean/variance behaviour. Results therefore agree with the scalar kernels
-// only to rounding (the same contract as gemm's kernels); each kernel is
-// still individually deterministic — plain serial sweeps, no thread or tile
-// dependence.
+// The GELU, GRU and softmax kernels use a vectorized Cephes-style expf
+// (range reduction to exp(g) * 2^n with a degree-6 polynomial, ~1 ulp);
+// tanh(z) = (e - 1) / (e + 1) with e = exp(2z). The layer-norm reductions
+// accumulate in 4-lane double vectors to preserve the scalar path's
+// double-precision mean/variance behaviour; the softmax sums are lane-split
+// floats. Results therefore agree with the scalar kernels only to rounding
+// (the same contract as gemm's kernels); each kernel is still individually
+// deterministic — plain serial sweeps, no thread or tile dependence.
 #include "tensor/eltwise/gelu_math.hpp"
 #include "tensor/eltwise/gru_math.hpp"
 #include "tensor/eltwise/kernels.hpp"
@@ -489,9 +489,87 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
   }
 }
 
+inline float hsum_ps(__m256 v) {
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
+}
+
+inline float hmax_ps(__m256 v) {
+  __m128 s = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  s = _mm_max_ps(s, _mm_movehl_ps(s, s));
+  return _mm_cvtss_f32(_mm_max_ss(s, _mm_movehdup_ps(s)));
+}
+
+// Three sweeps per row: the max of scale * p, then e = exp(scale * p - max)
+// (one FMA feeding exp256) with the lane-split sum, then the 1/sum rescale.
+// Ragged tails take the scalar std::exp.
+void softmax_rows(float* p, std::int64_t rows, std::int64_t n, float scale) {
+  const __m256 s = _mm256_set1_ps(scale);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* prow = p + i * n;
+    __m256 max_v = _mm256_set1_ps(-1e30F);
+    std::int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      max_v = _mm256_max_ps(max_v, _mm256_mul_ps(_mm256_loadu_ps(prow + j), s));
+    }
+    float max_s = hmax_ps(max_v);
+    for (; j < n; ++j) max_s = std::max(max_s, prow[j] * scale);
+
+    const __m256 m = _mm256_set1_ps(max_s);
+    __m256 sum_v = _mm256_setzero_ps();
+    j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const __m256 e = exp256(_mm256_fmsub_ps(_mm256_loadu_ps(prow + j), s, m));
+      _mm256_storeu_ps(prow + j, e);
+      sum_v = _mm256_add_ps(sum_v, e);
+    }
+    float denom = hsum_ps(sum_v);
+    for (; j < n; ++j) {
+      prow[j] = std::exp(prow[j] * scale - max_s);
+      denom += prow[j];
+    }
+
+    const float inv_denom = 1.0F / denom;
+    const __m256 inv = _mm256_set1_ps(inv_denom);
+    j = 0;
+    for (; j + 8 <= n; j += 8) {
+      _mm256_storeu_ps(prow + j, _mm256_mul_ps(_mm256_loadu_ps(prow + j), inv));
+    }
+    for (; j < n; ++j) prow[j] *= inv_denom;
+  }
+}
+
+void softmax_rows_bwd(const float* p, float* dp, std::int64_t rows,
+                      std::int64_t n, float scale) {
+  const __m256 s = _mm256_set1_ps(scale);
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* prow = p + i * n;
+    float* dprow = dp + i * n;
+    __m256 dot_v = _mm256_setzero_ps();
+    std::int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      dot_v = _mm256_fmadd_ps(_mm256_loadu_ps(dprow + j),
+                              _mm256_loadu_ps(prow + j), dot_v);
+    }
+    float dot = hsum_ps(dot_v);
+    for (; j < n; ++j) dot += dprow[j] * prow[j];
+
+    const __m256 d = _mm256_set1_ps(dot);
+    j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const __m256 pv = _mm256_loadu_ps(prow + j);
+      const __m256 g = _mm256_sub_ps(_mm256_loadu_ps(dprow + j), d);
+      _mm256_storeu_ps(dprow + j, _mm256_mul_ps(_mm256_mul_ps(pv, g), s));
+    }
+    for (; j < n; ++j) dprow[j] = prow[j] * (dprow[j] - dot) * scale;
+  }
+}
+
 constexpr Kernels kAvx2Kernels{tile_add,  tile_add_bwd,  bias_gelu,
                                bias_gelu_bwd, layer_norm, layer_norm_bwd,
-                               gru_cell, gru_cell_bwd, bias_act_quant};
+                               gru_cell, gru_cell_bwd, bias_act_quant,
+                               softmax_rows, softmax_rows_bwd};
 
 }  // namespace
 

@@ -208,9 +208,43 @@ void bias_act_quant(const float* x, const float* t, bool gelu, float inv_scale,
   }
 }
 
+// Attention's score-row softmax; forced-scalar attention is pinned
+// bit-for-bit to this loop order (tests/test_attention.cpp).
+void softmax_rows(float* p, std::int64_t rows, std::int64_t n, float scale) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    float* prow = p + i * n;
+    float max_v = -1e30F;
+    for (std::int64_t j = 0; j < n; ++j) {
+      prow[j] *= scale;
+      max_v = std::max(max_v, prow[j]);
+    }
+    float denom = 0.0F;
+    for (std::int64_t j = 0; j < n; ++j) {
+      prow[j] = std::exp(prow[j] - max_v);
+      denom += prow[j];
+    }
+    const float inv_denom = 1.0F / denom;
+    for (std::int64_t j = 0; j < n; ++j) prow[j] *= inv_denom;
+  }
+}
+
+void softmax_rows_bwd(const float* p, float* dp, std::int64_t rows,
+                      std::int64_t n, float scale) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* prow = p + i * n;
+    float* dprow = dp + i * n;
+    float dot_dp_p = 0.0F;
+    for (std::int64_t j = 0; j < n; ++j) dot_dp_p += dprow[j] * prow[j];
+    for (std::int64_t j = 0; j < n; ++j) {
+      dprow[j] = prow[j] * (dprow[j] - dot_dp_p) * scale;
+    }
+  }
+}
+
 constexpr Kernels kScalarKernels{tile_add,  tile_add_bwd,  bias_gelu,
                                  bias_gelu_bwd, layer_norm, layer_norm_bwd,
-                                 gru_cell, gru_cell_bwd, bias_act_quant};
+                                 gru_cell, gru_cell_bwd, bias_act_quant,
+                                 softmax_rows, softmax_rows_bwd};
 
 }  // namespace
 

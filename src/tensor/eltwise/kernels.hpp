@@ -1,5 +1,6 @@
 // Internal contract between the eltwise driver and its kernels. Not part of
-// the public API — include only from src/tensor/eltwise/*.cpp.
+// the public API — include only from src/tensor/ (the eltwise driver and
+// kernels, and fused attention, which runs the softmax rows).
 //
 // All kernels run single-threaded over contiguous storage and are
 // deterministic: for a fixed kernel, repeated runs produce bit-identical
@@ -10,7 +11,8 @@
 // [blocks, m] row-major, where the tile pointer `t` has length m and is
 // broadcast across blocks (bias add: m = D, blocks = rows; positional add:
 // m = T*H, blocks = B). The layer-norm kernels use an explicit [rows, d]
-// view. `blocks`/`rows` of zero are valid no-ops.
+// view, as do the softmax kernels over [rows, n] score rows. `blocks`/`rows`
+// of zero are valid no-ops.
 //
 // The scalar kernel is the semantic reference: it performs exactly the same
 // per-element arithmetic, in the same order, as the composed ops it fuses
@@ -91,6 +93,14 @@ struct Kernels {
                          float inv_scale, std::int32_t zero, std::int32_t qmax,
                          std::uint8_t* out, std::int64_t out_stride,
                          std::int64_t blocks, std::int64_t m);
+  /// In place over [rows, n]: p = softmax(scale * p) per row, max-subtracted
+  /// for stability (the attention score rows; scale = 1/sqrt(head_dim)).
+  void (*softmax_rows)(float* p, std::int64_t rows, std::int64_t n,
+                       float scale);
+  /// Backward of softmax_rows from its output p, in place on the upstream
+  /// gradient: dp = p * (dp - <dp, p>) * scale per row.
+  void (*softmax_rows_bwd)(const float* p, float* dp, std::int64_t rows,
+                           std::int64_t n, float scale);
 };
 
 /// Portable reference kernels; always available.
@@ -99,5 +109,11 @@ const Kernels& scalar_kernels();
 /// AVX2+FMA kernels, or nullptr when this translation unit was built
 /// without AVX2 support (the driver must also check CPUID before use).
 const Kernels* avx2_kernels();
+
+/// The table the calling thread dispatches to: its ForceKernelGuard pin,
+/// else the process-wide pick. The pin is thread-local, so an op that fans
+/// work out to the pool resolves this once on the calling thread and hands
+/// the table to its workers (and to its backward closure).
+const Kernels& active_kernels();
 
 }  // namespace saga::eltwise::detail

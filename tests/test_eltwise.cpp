@@ -2,18 +2,23 @@
 // gradchecked against finite differences across all dispatchable kernels,
 // forced-scalar bit-identity against the composed reference ops, cross-kernel
 // closeness, NoGrad-vs-tape forward bit-identity, and the "NoGrad allocates
-// zero tape nodes" contract of detail::make_result.
+// zero tape nodes" contract of detail::make_result. The attention softmax
+// rows, pointer-level kernel entries with no op of their own, are tested on
+// the kernel table directly.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gradcheck.hpp"
 #include "models/backbone.hpp"
 #include "quant/quant.hpp"
+#include "softmax_reference.hpp"
 #include "tensor/eltwise/eltwise.hpp"
+#include "tensor/eltwise/kernels.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
@@ -499,6 +504,104 @@ TEST(Eltwise, LinearFusedGeluMatchesComposed) {
   const std::vector<float> first = values_of(fused);
   const std::vector<float> second = values_of(linear.forward(x, nn::Activation::kGelu));
   EXPECT_EQ(first, second);
+}
+
+// ---- attention softmax rows (kernel-table level) --------------------------
+
+// Ragged widths around the 8-lane vector width, plus the pre-training T.
+constexpr std::int64_t kSoftmaxWidths[] = {1, 7, 8, 9, 120, 121};
+constexpr std::int64_t kSoftmaxRows = 3;
+const float kAttentionScale = 1.0F / std::sqrt(12.0F);  // head_dim 12
+
+std::vector<float> random_rows(util::Rng& rng, std::int64_t n, double stddev) {
+  std::vector<float> v(static_cast<std::size_t>(kSoftmaxRows * n));
+  for (float& x : v) x = static_cast<float>(rng.normal(0.0, stddev));
+  return v;
+}
+
+// Runs the softmax pair through the table `kernel` dispatches to: returns
+// the probabilities and the backward of upstream gradient `dp`.
+std::pair<std::vector<float>, std::vector<float>> run_softmax(
+    eltwise::Kernel kernel, std::vector<float> p, std::vector<float> dp,
+    std::int64_t n, float scale) {
+  const eltwise::ForceKernelGuard guard(kernel);
+  const eltwise::detail::Kernels& kt = eltwise::detail::active_kernels();
+  kt.softmax_rows(p.data(), kSoftmaxRows, n, scale);
+  kt.softmax_rows_bwd(p.data(), dp.data(), kSoftmaxRows, n, scale);
+  return {std::move(p), std::move(dp)};
+}
+
+TEST(Eltwise, SoftmaxRowsScalarBitIdenticalToReferenceLoops) {
+  util::Rng rng(20);
+  for (const std::int64_t n : kSoftmaxWidths) {
+    SCOPED_TRACE(n);
+    std::vector<float> p = random_rows(rng, n, 3.0);
+    std::vector<float> dp = random_rows(rng, n, 1.0);
+    const auto [probs, grads] =
+        run_softmax(eltwise::Kernel::kScalar, p, dp, n, kAttentionScale);
+    saga::testing::softmax_rows_reference(p.data(), kSoftmaxRows, n,
+                                          kAttentionScale);
+    saga::testing::softmax_rows_bwd_reference(p.data(), dp.data(),
+                                              kSoftmaxRows, n,
+                                              kAttentionScale);
+    EXPECT_EQ(probs, p);
+    EXPECT_EQ(grads, dp);
+  }
+}
+
+TEST(Eltwise, SoftmaxRowsKernelsAgreeToRounding) {
+  util::Rng rng(21);
+  for (const std::int64_t n : kSoftmaxWidths) {
+    const std::vector<float> p = random_rows(rng, n, 3.0);
+    const std::vector<float> dp = random_rows(rng, n, 1.0);
+    const auto [ref_p, ref_dp] =
+        run_softmax(eltwise::Kernel::kScalar, p, dp, n, kAttentionScale);
+    for (const auto kernel : eltwise::available_kernels()) {
+      SCOPED_TRACE(eltwise::kernel_name(kernel) + " n=" + std::to_string(n));
+      const auto [got_p, got_dp] = run_softmax(kernel, p, dp, n,
+                                               kAttentionScale);
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        ASSERT_NEAR(got_p[i], ref_p[i], 1e-6F + 1e-5F * ref_p[i]) << i;
+        ASSERT_NEAR(got_dp[i], ref_dp[i], 1e-6F + 1e-5F * std::abs(ref_dp[i]))
+            << i;
+      }
+    }
+  }
+}
+
+// Every row is a distribution, including rows whose scores span +-1e4 (an
+// unscaled exp would overflow to inf and turn the row into NaN).
+TEST(Eltwise, SoftmaxRowsSumToOneAndStayFinite) {
+  util::Rng rng(22);
+  for (const std::int64_t n : kSoftmaxWidths) {
+    for (const double spread : {3.0, 1e4}) {
+      std::vector<float> p = random_rows(rng, n, spread);
+      if (spread > 1.0) {
+        for (std::size_t i = 0; i < p.size(); i += 2) {
+          p[i] = i % 4 == 0 ? 1e4F : -1e4F;
+        }
+      }
+      const std::vector<float> dp = random_rows(rng, n, 1.0);
+      for (const auto kernel : eltwise::available_kernels()) {
+        SCOPED_TRACE(eltwise::kernel_name(kernel) + " n=" + std::to_string(n) +
+                     " spread=" + std::to_string(spread));
+        for (const float scale : {kAttentionScale, 1.0F}) {
+          const auto [probs, grads] = run_softmax(kernel, p, dp, n, scale);
+          for (std::int64_t r = 0; r < kSoftmaxRows; ++r) {
+            double sum = 0.0;
+            for (std::int64_t j = 0; j < n; ++j) {
+              const auto i = static_cast<std::size_t>(r * n + j);
+              ASSERT_TRUE(std::isfinite(probs[i])) << "p at " << i;
+              ASSERT_TRUE(std::isfinite(grads[i])) << "dp at " << i;
+              ASSERT_GE(probs[i], 0.0F);
+              sum += probs[i];
+            }
+            EXPECT_NEAR(sum, 1.0, 1e-5) << "row " << r;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

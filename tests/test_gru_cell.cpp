@@ -14,6 +14,7 @@
 #include "tensor/eltwise/eltwise.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/loss.hpp"
+#include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
 #include "tensor/shape_ops.hpp"
@@ -43,6 +44,31 @@ void expect_close(const Tensor& a, const Tensor& b, float tol,
   for (std::size_t i = 0; i < av.size(); ++i) {
     ASSERT_NEAR(av[i], bv[i], tol) << what << " diverges at element " << i;
   }
+}
+
+// GRUCell::step as the composed sigmoid/tanh/mul/add gate chain (gate order
+// [r | z | n]): the reference the fused cell is bit-identical to under the
+// forced-scalar eltwise kernel, forward and backward. gh is formed exactly as
+// the cell's fp32 path does; parameters() lists w_ih, w_hh, b_ih, b_hh.
+Tensor step_composed(const nn::GRUCell& cell, const Tensor& gi,
+                     const Tensor& h) {
+  const std::int64_t hidden = cell.hidden_dim();
+  const Tensor gh =
+      eltwise::bias_add(matmul(h, cell.weight_hh()), cell.parameters()[3]);
+
+  const Tensor gi_r = slice(gi, 1, 0, hidden);
+  const Tensor gi_z = slice(gi, 1, hidden, hidden);
+  const Tensor gi_n = slice(gi, 1, 2 * hidden, hidden);
+  const Tensor gh_r = slice(gh, 1, 0, hidden);
+  const Tensor gh_z = slice(gh, 1, hidden, hidden);
+  const Tensor gh_n = slice(gh, 1, 2 * hidden, hidden);
+
+  const Tensor r = sigmoid(add(gi_r, gh_r));
+  const Tensor z = sigmoid(add(gi_z, gh_z));
+  const Tensor n = tanh_op(add(gi_n, mul(r, gh_n)));
+  // h' = (1 - z) * n + z * h
+  const Tensor one_minus_z = add_scalar(neg(z), 1.0F);
+  return add(mul(one_minus_z, n), mul(z, h));
 }
 
 TEST(GruCell, ShapeValidation) {
@@ -126,7 +152,7 @@ std::vector<std::vector<float>> step_trace(bool fused) {
   Tensor x = Tensor::randn({batch, input}, rng, 1.0F, true);
   Tensor h = Tensor::randn({batch, hidden}, rng, 1.0F, true);
   const Tensor gi = cell.precompute_inputs(x);
-  const Tensor out = fused ? cell.step(gi, h) : cell.step_composed(gi, h);
+  const Tensor out = fused ? cell.step(gi, h) : step_composed(cell, gi, h);
   sum(square(out)).backward();
   std::vector<std::vector<float>> trace;
   trace.emplace_back(out.data().begin(), out.data().end());
@@ -213,7 +239,7 @@ std::vector<std::vector<float>> gru_trace(bool fused) {
       std::vector<Tensor> outputs;
       h = Tensor::zeros({batch, hidden});
       for (std::int64_t t = 0; t < steps; ++t) {
-        h = cells2[l]->step_composed(select(gi_all, 1, t), h);
+        h = step_composed(*cells2[l], select(gi_all, 1, t), h);
         if (l == 0) outputs.push_back(reshape(h, {batch, 1, hidden}));
       }
       if (l == 0) layer_input = concat(outputs, 1);
