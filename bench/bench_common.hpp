@@ -12,8 +12,11 @@
 // core::paper_profile() encodes.
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,6 +32,14 @@ inline std::int64_t bench_samples() {
 }
 
 inline bool full_grid() { return util::env_int("SAGA_FULL", 0) != 0; }
+
+/// A scratch file path under the system temp dir, prefixed with this
+/// process's pid so concurrent bench runs sharing it never clobber each
+/// other's file between save and load.
+inline std::string temp_path(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (std::to_string(::getpid()) + "_" + name);
+}
 
 /// The benchmark pipeline configuration (scaled-down fast profile).
 inline core::PipelineConfig bench_profile() {

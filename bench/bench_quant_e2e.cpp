@@ -142,10 +142,8 @@ int main() {
                       util::Table::fmt(100.0 * mq.accuracy, 1),
                       util::Table::fmt(delta_pt, 2), pass ? "pass" : "FAIL"});
 
-    const std::string fp32_path =
-        std::filesystem::temp_directory_path() / "saga_bench_fp32.artifact";
-    const std::string int8_path =
-        std::filesystem::temp_directory_path() / "saga_bench_int8.artifact";
+    const std::string fp32_path = bench::temp_path("saga_bench_fp32.artifact");
+    const std::string int8_path = bench::temp_path("saga_bench_int8.artifact");
     fp32.save(fp32_path);
     int8.save(int8_path);
     const double fp32_kb =

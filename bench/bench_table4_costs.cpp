@@ -87,8 +87,7 @@ int main() {
     {
       auto blobs = backbone.state_dict("backbone");
       blobs.merge(head->state_dict("head"));
-      const std::string path =
-          std::filesystem::temp_directory_path() / "saga_cost_probe.ckpt";
+      const std::string path = bench::temp_path("saga_cost_probe.ckpt");
       util::save_blobs(path, blobs);
       cost.disk_kb =
           static_cast<double>(std::filesystem::file_size(path)) / 1024.0;

@@ -173,6 +173,6 @@ int main() {
               kBurst, worst_ms, stats.mean_batch());
   std::printf("(paper Fig. 13: <= 12 ms on all five phones; see "
               "bench_fig13_latency for per-device scaling and "
-              "bench_serve_throughput for the batched serving path)\n");
+              "examples/serve_throughput for the batched serving path)\n");
   return 0;
 }

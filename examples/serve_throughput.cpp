@@ -1,9 +1,9 @@
 // Load generator for the serve layer: N client threads drive an Engine (or,
 // with SAGA_SERVE_SHARDS > 1, a sharded Router) through the async submit()
 // API and we report throughput, latency percentiles, backpressure rejections
-// and how well the dispatcher coalesced requests into micro-batches. This is
-// the interactive companion to bench_serve_throughput (which sweeps batch
-// size, batch window and shard count).
+// and how well the dispatcher coalesced requests into micro-batches. The
+// sagabench serve_fp32/serve_int8 workloads time the same path with repeats
+// and spread; this binary is the knob-by-knob interactive view.
 //
 // Knobs: SAGA_SERVE_CLIENTS (default 4), SAGA_SERVE_REQUESTS per client
 // (default 50), SAGA_SERVE_BATCH max batch size (default 16),

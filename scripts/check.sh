@@ -74,8 +74,3 @@ ctest --output-on-failure -j "$(nproc)"
 # red run, not as a flaky abort elsewhere.
 ctest --output-on-failure -j "$(nproc)" --repeat until-fail:5 \
   -R "^(test_util|test_serve|test_stream|test_quant)"
-# Serve-bench smoke: one tiny setting per sweep, exercising the open-loop
-# bursty arrivals, Router work stealing, and the histogram export end to
-# end (capacity numbers from this run mean nothing — see docs/BASELINES.md
-# for the full sweep).
-SAGA_SERVE_SMOKE=1 ./bench_serve_throughput

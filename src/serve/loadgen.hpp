@@ -1,8 +1,7 @@
 // Load generation for the serve layer: N client threads drive an Engine or
 // a Router through the async submit() API and the per-request latencies come
-// back as one sorted sample for percentile reporting. Used by
-// examples/serve_throughput and bench/bench_serve_throughput so the two
-// report on exactly the same workload.
+// back as one sorted sample for percentile reporting. Driven by
+// examples/serve_throughput (smoke-tested in ctest as serve_throughput_smoke).
 //
 // Three arrival disciplines:
 //   closed-loop (offered_rps == 0)  each client issues its next request the
@@ -105,10 +104,5 @@ struct LoadReport {
 /// from `options.seed`.
 LoadReport run_load(Engine& engine, const LoadOptions& options);
 LoadReport run_load(Router& router, const LoadOptions& options);
-
-/// Legacy closed-loop signature (pre-async API); kept so existing callers
-/// migrate mechanically.
-LoadReport run_load(Engine& engine, std::size_t clients, std::size_t per_client,
-                    std::uint64_t seed = 1);
 
 }  // namespace saga::serve

@@ -84,8 +84,8 @@ class Histogram {
 
   /// Multi-line human-readable table of the non-empty buckets with
   /// cumulative percentages and a proportional bar, e.g. for
-  /// bench_serve_throughput's histogram export. `label` heads the block;
-  /// `unit` annotates the edges ("ms", "reqs", ...).
+  /// examples/serve_throughput's SAGA_SERVE_HIST=1 export. `label` heads
+  /// the block; `unit` annotates the edges ("ms", "reqs", ...).
   std::string format(const std::string& label, const std::string& unit) const;
 
  private:

@@ -1,5 +1,5 @@
-// Environment-variable overrides for bench/example budgets, so the same
-// binaries run in seconds by default but can be scaled to paper-size runs.
+// Environment-variable overrides for bench/example budgets: each binary
+// reads its own SAGA_* knobs through these two parsers.
 #pragma once
 
 #include <cstdint>
@@ -12,8 +12,5 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
 /// Returns the double value of `name`, or `fallback` when unset/malformed.
 double env_double(const std::string& name, double fallback);
-
-/// Global scale factor for bench workloads (SAGA_BENCH_SCALE, default 1.0).
-double bench_scale();
 
 }  // namespace saga::util
