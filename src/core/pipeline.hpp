@@ -28,7 +28,7 @@
 // Threading: Pipeline itself is single-threaded; parallelism happens inside
 // tensor ops via util::parallel_for on the process-wide util::ThreadPool
 // (see util/thread_pool.hpp). Results are independent of pool size because
-// batch work derives per-sample seeds. A Pipeline is not safe to share
+// chunks are static index ranges and batch work derives per-sample seeds. A Pipeline is not safe to share
 // across threads concurrently; distinct Pipeline instances are independent.
 #pragma once
 

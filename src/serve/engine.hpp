@@ -10,8 +10,9 @@
 // blocking callers migrate mechanically.
 //
 // A dedicated dispatcher thread coalesces pending windows into one [B, T, C]
-// forward pass (whose tensor ops fan out over util::ThreadPool). Three knobs
-// shape the batching:
+// forward pass (whose tensor ops fan out over util::ThreadPool; while another
+// thread's fork is in flight, such as a second Router shard's, a fork runs
+// inline on the dispatcher). Three knobs shape the batching:
 //
 //   batch_window_us  how long the dispatcher may hold a non-full batch open
 //                    waiting for more arrivals (0 = greedy: launch whatever

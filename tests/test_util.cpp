@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <cstring>
 #include <fstream>
@@ -128,13 +133,11 @@ TEST(ThreadPool, PropagatesExceptions) {
          static_cast<int>(pad[depth % 16]) - depth;
 }
 
-// parallel_for's completion mutex and count live on the caller's stack. If
-// the last worker could decrement the count before locking that mutex to
-// notify, the caller could see zero, return and reuse the stack while the
-// worker was still about to lock it. Many short fork-joins from several
-// clients into a core-count pool (more runnable threads than cores), each
-// from a different stack depth, abort or crash in about half the runs on a
-// 4-core host when the decrement is outside the lock.
+// Many short fork-joins from several clients into a core-count pool (more
+// runnable threads than cores), each from a different stack depth. A pool
+// that kept its completion state on the caller's stack aborted or crashed
+// here in about half the runs on a 4-core host when its last worker could
+// touch that state after the caller returned.
 TEST(ThreadPool, ConcurrentShortParallelForsComplete) {
   ThreadPool pool(std::max(1U, std::thread::hardware_concurrency()));
   constexpr int kClients = 4;
@@ -154,6 +157,114 @@ TEST(ThreadPool, ConcurrentShortParallelForsComplete) {
   for (auto& client : clients) client.join();
   EXPECT_EQ(incomplete.load(), 0);
 }
+
+// Waits (yielding, so it also works on one CPU) until flag is set.
+void await(const std::atomic<bool>& flag) {
+  while (!flag.load()) std::this_thread::yield();
+}
+
+TEST(ThreadPool, SinglePoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1U);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(100);
+  pool.parallel_for(0, ran.size(), [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (const auto id : ran) EXPECT_EQ(id, caller);
+}
+
+// Each worker holds the chunk it claimed until the caller has run one, so a
+// pool of n runs chunks on both sides; one side throws.
+TEST(ThreadPool, ExceptionsFromCallerAndWorkerChunksPropagate) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  for (const bool caller_throws : {true, false}) {
+    std::atomic<bool> caller_ran{false};
+    std::atomic<bool> worker_ran{false};
+    EXPECT_THROW(pool.parallel_for(0, pool.size(), [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_ran = true;
+        await(worker_ran);
+        if (caller_throws) throw std::runtime_error("caller");
+      } else {
+        worker_ran = true;
+        await(caller_ran);
+        if (!caller_throws) throw std::runtime_error("worker");
+      }
+    }), std::runtime_error);
+    std::vector<int> hits(1000, 0);
+    pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
+  }
+}
+
+// The workers hold their chunks until the caller's has run, so the caller
+// runs at least one.
+TEST(ThreadPool, NestedCallFromCallersChunkRunsInline) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> nested{0};
+  std::atomic<int> elsewhere{0};
+  pool.parallel_for(0, pool.size(), [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) return await(caller_ran);
+    pool.parallel_for(0, 64, [&](std::size_t) {
+      nested.fetch_add(1);
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    });
+    caller_ran = true;
+  });
+  EXPECT_EQ(nested.load() % 64, 0);
+  EXPECT_GE(nested.load(), 64);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ThreadPool, ForkDuringAnotherThreadsForkRunsInline) {
+  ThreadPool pool(3);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    pool.parallel_for(0, pool.size(), [&](std::size_t) {
+      started = true;
+      await(release);
+    });
+  });
+  await(started);
+  const auto self = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(100);
+  pool.parallel_for(0, ran.size(), [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (const auto id : ran) EXPECT_EQ(id, self);
+  release = true;
+  owner.join();
+}
+
+// Back-to-back forks find the workers spinning; forks separated by a sleep
+// longer than the spin find them asleep on the state word.
+TEST(ThreadPool, BackToBackAndSpacedForksCoverTheirRanges) {
+  ThreadPool pool(4);
+  std::vector<int> hits(37, 0);
+  const auto fork_and_check = [&](int round) {
+    pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    return std::count(hits.begin(), hits.end(), round) ==
+           static_cast<std::ptrdiff_t>(hits.size());
+  };
+  int round = 0;
+  int incomplete = 0;
+  for (int i = 0; i < 20000; ++i) incomplete += fork_and_check(++round) ? 0 : 1;
+  for (int i = 0; i < 30; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    incomplete += fork_and_check(++round) ? 0 : 1;
+  }
+  EXPECT_EQ(incomplete, 0);
+}
+
+#if defined(__linux__)
+TEST(ThreadPool, GlobalPoolMatchesTheAffinityMask) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(ThreadPool::global().size(), static_cast<std::size_t>(CPU_COUNT(&set)));
+}
+#endif
 
 TEST(Serialize, RoundTripsBlobs) {
   const std::string path = std::filesystem::temp_directory_path() / "saga_blobs.bin";
