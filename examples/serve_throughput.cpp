@@ -1,21 +1,21 @@
-// Load generator for the serve layer: N client threads drive an Engine (or,
-// with SAGA_SERVE_SHARDS > 1, a sharded Router) through the async submit()
-// API and we report throughput, latency percentiles, backpressure rejections
-// and how well the dispatcher coalesced requests into micro-batches. The
-// sagabench serve_fp32/serve_int8 workloads time the same path with repeats
-// and spread; this binary is the knob-by-knob interactive view.
+// Load generator for the serve layer: N client threads drive a Router (one
+// Engine whose SAGA_SERVE_SHARDS model replicas drain one queue) through
+// the async submit() API and we report throughput, latency percentiles,
+// backpressure rejections and how well the dispatchers coalesced requests
+// into micro-batches. The sagabench serve_fp32/serve_int8 workloads time the
+// same path with repeats and spread; this binary is the knob-by-knob
+// interactive view.
 //
 // Knobs: SAGA_SERVE_CLIENTS (default 4), SAGA_SERVE_REQUESTS per client
 // (default 50), SAGA_SERVE_BATCH max batch size (default 16),
 // SAGA_SERVE_WINDOW_US dispatcher batch window (default 0 = greedy),
-// SAGA_SERVE_DEPTH bounded queue depth (default 1024), SAGA_SERVE_SHARDS
-// Router shard count (default 1 = plain Engine), SAGA_SERVE_RPS offered
+// SAGA_SERVE_DEPTH bounded queue depth per replica (default 1024),
+// SAGA_SERVE_SHARDS replica count (default 1), SAGA_SERVE_RPS offered
 // open-loop Poisson load in req/s (default 0 = closed loop),
 // SAGA_SERVE_BULK=1 to tag requests Priority::kBulk,
 // SAGA_SERVE_BURSTY=1 for square-wave bursty arrivals instead of Poisson
 // (requires SAGA_SERVE_RPS > 0; period/duty/peak fixed at 0.5 s/0.25/3x),
-// SAGA_SERVE_STEAL=0 to disable cross-shard work stealing,
-// SAGA_SERVE_HIST=1 to print the fleet histograms after the run.
+// SAGA_SERVE_HIST=1 to print the histograms after the run.
 #include <cstdio>
 
 #include "core/saga.hpp"
@@ -41,7 +41,6 @@ int main() {
   serve::RouterConfig router_config;
   router_config.shards =
       static_cast<std::size_t>(util::env_int("SAGA_SERVE_SHARDS", 1));
-  router_config.work_stealing = util::env_int("SAGA_SERVE_STEAL", 1) != 0;
   auto& engine_config = router_config.engine;
   engine_config.max_batch_size = util::env_int("SAGA_SERVE_BATCH", 16);
   engine_config.batch_window_us = util::env_int("SAGA_SERVE_WINDOW_US", 0);
@@ -53,13 +52,12 @@ int main() {
                              : "open-loop Poisson";
   std::printf(
       "== serve load generator: %zu clients x %zu requests, %s arrivals ==\n"
-      "   shards %zu, max batch %lld, batch window %lld us, queue depth %lld, "
-      "stealing %s\n",
+      "   replicas %zu, max batch %lld, batch window %lld us, queue depth "
+      "%lld per replica\n",
       load.clients, load.per_client, arrivals, router_config.shards,
       static_cast<long long>(engine_config.max_batch_size),
       static_cast<long long>(engine_config.batch_window_us),
-      static_cast<long long>(engine_config.max_queue_depth),
-      router_config.work_stealing && router_config.shards > 1 ? "on" : "off");
+      static_cast<long long>(engine_config.max_queue_depth));
 
   // A throwaway trained model: untrained weights predict garbage, but the
   // serving cost is identical, and that is what we measure here.
@@ -90,14 +88,11 @@ int main() {
               static_cast<unsigned long long>(stats.batches), stats.mean_batch(),
               static_cast<unsigned long long>(stats.largest_batch));
   if (router_config.shards > 1) {
-    const auto per_shard = router.shard_stats();
-    for (std::size_t s = 0; s < per_shard.size(); ++s) {
-      std::printf("  shard %zu: %llu requests, mean batch %.2f, stolen %llu, "
-                  "donated %llu\n",
-                  s, static_cast<unsigned long long>(per_shard[s].requests),
-                  per_shard[s].mean_batch(),
-                  static_cast<unsigned long long>(per_shard[s].stolen),
-                  static_cast<unsigned long long>(per_shard[s].donated));
+    const auto per_replica = router.shard_stats();
+    for (std::size_t r = 0; r < per_replica.size(); ++r) {
+      std::printf("  replica %zu: %llu requests, mean batch %.2f\n", r,
+                  static_cast<unsigned long long>(per_replica[r].requests),
+                  per_replica[r].mean_batch());
     }
   }
   if (util::env_int("SAGA_SERVE_HIST", 0) != 0) {

@@ -65,11 +65,16 @@ Prediction ResponseHandle::get() {
 }
 
 Engine::Engine(Artifact artifact, EngineConfig config)
-    : artifact_(std::move(artifact)),
-      config_(checked(config)),
-      backbone_(artifact_.make_backbone()),
-      classifier_(artifact_.make_classifier()) {
-  // The models now hold the only live copy of the weights (including the
+    : Engine(std::move(artifact), config, 1) {}
+
+Engine::Engine(Artifact artifact, EngineConfig config, std::size_t replicas)
+    : artifact_(std::move(artifact)), config_(checked(config)) {
+  replicas_.reserve(replicas);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    replicas_.push_back(
+        Replica{artifact_.make_backbone(), artifact_.make_classifier()});
+  }
+  // The models now hold the only live copies of the weights (including the
   // prepacked int8 form on quantized artifacts); dropping the artifact's
   // blobs halves the engine's resident model memory. Metadata (configs,
   // task, precision, provenance, normalization stats) stays queryable.
@@ -78,7 +83,17 @@ Engine::Engine(Artifact artifact, EngineConfig config)
   artifact_.backbone_quant.clear();
   artifact_.classifier_quant.clear();
   warm_up();
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  // replicas_ never resizes from here on, so each dispatcher's reference
+  // stays valid until shutdown() joins it.
+  dispatchers_.reserve(replicas);
+  try {
+    for (Replica& replica : replicas_) {
+      dispatchers_.emplace_back([this, &replica] { dispatch_loop(replica); });
+    }
+  } catch (...) {
+    shutdown();  // a joinable std::thread must not be destroyed
+    throw;
+  }
 }
 
 void Engine::warm_up() {
@@ -93,12 +108,13 @@ void Engine::warm_up() {
   NoGradGuard no_grad;
   const std::int64_t t = artifact_.window_length();
   const std::int64_t c = artifact_.channels();
+  Replica& replica = replicas_.front();
   for (std::int64_t pass = 0; pass < config_.warmup_forwards; ++pass) {
     const Clock::time_point started = Clock::now();
     const Tensor inputs =
         Tensor::from_data({1, t, c},
                           std::vector<float>(static_cast<std::size_t>(t * c)));
-    (void)classifier_.forward(backbone_.encode(inputs));
+    (void)replica.classifier.forward(replica.backbone.encode(inputs));
     // A batch-of-one underestimates a full batch's wall time, so the
     // seeded gate stays conservative (admits more than it should rather
     // than less) until real traffic refines the estimate.
@@ -120,7 +136,9 @@ void Engine::shutdown() {
   // racing the destructor) safe: one caller joins, the others block here
   // until the join has completed.
   std::call_once(join_once_, [this] {
-    if (dispatcher_.joinable()) dispatcher_.join();
+    for (std::thread& dispatcher : dispatchers_) {
+      if (dispatcher.joinable()) dispatcher.join();
+    }
   });
 }
 
@@ -140,7 +158,7 @@ Engine::Request Engine::make_request(std::span<const float> window,
   Request request;
   request.priority = options.priority;
   request.window.assign(window.begin(), window.end());
-  if (config_.apply_normalization && !artifact_.norm_mean.empty()) {
+  if (!artifact_.norm_mean.empty()) {
     const auto channels = static_cast<std::size_t>(artifact_.channels());
     for (std::size_t i = 0; i < request.window.size(); ++i) {
       const std::size_t c = i % channels;
@@ -164,24 +182,24 @@ std::vector<ResponseHandle> Engine::enqueue_all(std::vector<Request>& staged,
       throw EngineStoppedError("Engine::submit: engine is shut down");
     }
     const std::size_t queued = interactive_.size() + bulk_.size();
-    if (queued + staged.size() >
-        static_cast<std::size_t>(config_.max_queue_depth)) {
+    if (queued + staged.size() > queue_capacity()) {
       stats_.rejected += staged.size();
       throw QueueFullError(
           "Engine::submit: queue full (" + std::to_string(queued) + " of " +
-          std::to_string(config_.max_queue_depth) +
+          std::to_string(queue_capacity()) +
           " pending requests); shed load or retry");
     }
-    // Deadline admission control: floor(queue_depth / max_batch) full
-    // batches must run before a new request can launch; if the EWMA batch
-    // latency says that already blows a request's deadline, reject now
+    // Deadline admission control: the replicas run batches side by side, so
+    // floor(queue_depth / (max_batch × replicas)) rounds of full batches
+    // must run before a new request can launch; if the EWMA batch latency
+    // says that already blows a request's deadline, reject now
     // (all-or-nothing, like the queue bound) instead of serving a result
     // the caller has contracted to consider late. With no batch history
-    // (ewma == 0) or under one queued batch this never fires.
+    // (ewma == 0) or under one queued round this never fires.
     if (config_.deadline_admission && stats_.ewma_batch_ms > 0.0) {
       const std::size_t batches_ahead =
           (queued + in_flight_) /
-          static_cast<std::size_t>(config_.max_batch_size);
+          (static_cast<std::size_t>(config_.max_batch_size) * replicas_.size());
       if (batches_ahead > 0) {
         const auto estimated_wait =
             std::chrono::duration_cast<Clock::duration>(
@@ -246,12 +264,11 @@ std::vector<Prediction> Engine::predict_batch(
   // A group larger than the queue bound could never be admitted whole, so
   // retrying would loop forever — reject it as a usage error, distinct from
   // transient QueueFullError backpressure.
-  if (windows.size() > static_cast<std::size_t>(config_.max_queue_depth)) {
+  if (windows.size() > queue_capacity()) {
     throw std::invalid_argument(
         "Engine::predict_batch: " + std::to_string(windows.size()) +
-        " windows can never fit the max_queue_depth " +
-        std::to_string(config_.max_queue_depth) +
-        " bound; split the group or raise the bound");
+        " windows can never fit the " + std::to_string(queue_capacity()) +
+        "-request queue bound; split the group or raise max_queue_depth");
   }
   // Validate and stage every window before publishing anything, then push
   // them all under one lock: a bad window enqueues nothing, and the
@@ -276,79 +293,8 @@ std::size_t Engine::queue_depth() const {
   return interactive_.size() + bulk_.size() + in_flight_;
 }
 
-std::size_t Engine::pending_depth() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return interactive_.size() + bulk_.size();
-}
-
-void Engine::set_work_source(WorkSource source,
-                             std::chrono::microseconds poll) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    work_source_ = std::move(source);
-    work_poll_ = work_source_ ? poll : std::chrono::microseconds(0);
-  }
-  // Wake an idle dispatcher so it switches from an indefinite wait to the
-  // polling wait (or back) without waiting for the next submission.
-  queue_cv_.notify_all();
-}
-
-std::vector<Engine::Request> Engine::steal_pending(std::size_t max_requests) {
-  std::vector<Request> taken;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // A draining engine keeps its queue: shutdown() has promised those
-  // callers their results, and the dispatcher is already emptying it.
-  if (stopping_ || max_requests == 0) return taken;
-  // Same order the dispatcher would have taken them: expired deadlines
-  // first, then interactive, then bulk — so stealing preserves each
-  // request's relative urgency, it just moves where the batch runs.
-  const Clock::time_point now = Clock::now();
-  const auto take_expired = [&](std::deque<Request>& queue) {
-    for (auto it = queue.begin();
-         it != queue.end() && taken.size() < max_requests;) {
-      if (it->deadline_at <= now) {
-        taken.push_back(std::move(*it));
-        it = queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  take_expired(interactive_);
-  take_expired(bulk_);
-  while (taken.size() < max_requests && !interactive_.empty()) {
-    taken.push_back(std::move(interactive_.front()));
-    interactive_.pop_front();
-  }
-  while (taken.size() < max_requests && !bulk_.empty()) {
-    taken.push_back(std::move(bulk_.front()));
-    bulk_.pop_front();
-  }
-  stats_.donated += taken.size();
-  return taken;
-}
-
-void Engine::inject_stolen(std::vector<Request> requests) {
-  if (requests.empty()) return;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      // The caller still owns the requests (by-value parameter is theirs
-      // to recover via catch + re-route); a stopped dispatcher would never
-      // run them.
-      throw EngineStoppedError(
-          "Engine::inject_stolen: engine is shut down; place the requests "
-          "elsewhere");
-    }
-    // No max_queue_depth check: these requests were already admitted by a
-    // sibling shard — this is rebalancing, not new admission.
-    stats_.stolen += requests.size();
-    for (Request& request : requests) {
-      (request.priority == Priority::kBulk ? bulk_ : interactive_)
-          .push_back(std::move(request));
-    }
-  }
-  queue_cv_.notify_one();
+std::size_t Engine::queue_capacity() const noexcept {
+  return static_cast<std::size_t>(config_.max_queue_depth) * replicas_.size();
 }
 
 std::vector<Engine::Request> Engine::take_batch_locked(Clock::time_point now) {
@@ -403,57 +349,14 @@ std::vector<Engine::Request> Engine::take_batch_locked(Clock::time_point now) {
   return batch;
 }
 
-void Engine::dispatch_loop() {
-  // The dispatcher owns all model access; gradients are never needed.
+void Engine::dispatch_loop(Replica& replica) {
+  // The dispatcher owns its replica's model access; gradients are never
+  // needed.
   NoGradGuard no_grad;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     if (interactive_.empty() && bulk_.empty()) {
       if (stopping_) return;
-      if (work_source_) {
-        // Idle with a work source installed: poll a sibling before
-        // sleeping. The source (Router::steal_for) takes its own locks, so
-        // invoke it unlocked; re-check the queues afterwards because a
-        // submission may have landed while we were out.
-        const WorkSource source = work_source_;
-        const std::chrono::microseconds poll = work_poll_;
-        lock.unlock();
-        std::vector<Request> stolen;
-        try {
-          stolen = source(static_cast<std::size_t>(config_.max_batch_size));
-        } catch (...) {
-          // A racing swap/shutdown can invalidate the source mid-call;
-          // treat it as "nothing to steal" — the next poll sees the
-          // refreshed source (or none).
-        }
-        lock.lock();
-        if (!stolen.empty()) {
-          // Enqueue even when a shutdown raced the steal: the drain loop
-          // processes non-empty queues while stopping, so the stolen
-          // requests are still fulfilled (by this engine) before the
-          // dispatcher exits — nothing is ever dropped. launch_by collapses
-          // to now: the thief was idle, so stolen work launches in the very
-          // next batch instead of re-waiting its original batch window —
-          // and because the take happens under this same lock hold, the
-          // stolen requests are never observable as pending by a sibling
-          // (no steal ping-pong).
-          stats_.stolen += stolen.size();
-          const Clock::time_point now = Clock::now();
-          for (Request& request : stolen) {
-            request.launch_by = now;
-            (request.priority == Priority::kBulk ? bulk_ : interactive_)
-                .push_back(std::move(request));
-          }
-          continue;  // dispatch the stolen work immediately
-        }
-        if (interactive_.empty() && bulk_.empty() && !stopping_) {
-          // Nothing stolen and still idle: sleep one poll interval (the
-          // queue re-check above happened under the same hold of the lock,
-          // so a concurrent submit cannot slip between check and wait).
-          queue_cv_.wait_for(lock, poll);
-        }
-        continue;
-      }
       queue_cv_.wait(lock);
       continue;
     }
@@ -477,24 +380,29 @@ void Engine::dispatch_loop() {
       }
     }
     // Depth observed at batch launch: everything queued before the take
-    // plus whatever a concurrent batch still has in flight.
+    // plus whatever other replicas still have in flight.
     stats_.queue_depth_hist.record(static_cast<double>(total + in_flight_));
     std::vector<Request> batch = take_batch_locked(Clock::now());
+    // Work left over is the next batch: wake a sibling dispatcher for it
+    // rather than leave it until this replica's forward finishes.
+    if (!interactive_.empty() || !bulk_.empty()) queue_cv_.notify_one();
     stats_.requests += batch.size();
     stats_.batches += 1;
     stats_.largest_batch =
         std::max<std::uint64_t>(stats_.largest_batch, batch.size());
     stats_.batch_size_hist.record(static_cast<double>(batch.size()));
+    replica.requests += batch.size();
+    replica.batches += 1;
     in_flight_ += batch.size();
     const std::uint64_t batch_index = stats_.batches;
     lock.unlock();
-    run_batch(batch, batch_index);
+    run_batch(replica, batch, batch_index);
     lock.lock();
     in_flight_ -= batch.size();
   }
 }
 
-void Engine::run_batch(std::vector<Request>& batch,
+void Engine::run_batch(Replica& replica, std::vector<Request>& batch,
                        std::uint64_t batch_index) {
   const Clock::time_point started = Clock::now();
   try {
@@ -507,7 +415,8 @@ void Engine::run_batch(std::vector<Request>& batch,
       packed.insert(packed.end(), request.window.begin(), request.window.end());
     }
     const Tensor inputs = Tensor::from_data({b, t, c}, std::move(packed));
-    const Tensor logits = classifier_.forward(backbone_.encode(inputs));
+    const Tensor logits =
+        replica.classifier.forward(replica.backbone.encode(inputs));
     const std::vector<std::int64_t> labels = argmax_lastdim(logits);
     const auto view = logits.data();
     const std::int64_t classes = artifact_.num_classes();
@@ -548,9 +457,16 @@ EngineStats Engine::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   EngineStats stats = stats_;
   stats.queue_depth = interactive_.size() + bulk_.size() + in_flight_;
-  // For a single engine mean and worst coincide; Router::aggregate_stats
-  // separates them across shards.
-  stats.ewma_batch_ms_worst = stats.ewma_batch_ms;
+  return stats;
+}
+
+std::vector<EngineStats> Engine::replica_stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<EngineStats> stats(replicas_.size());
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    stats[r].requests = replicas_[r].requests;
+    stats[r].batches = replicas_[r].batches;
+  }
   return stats;
 }
 

@@ -9,12 +9,17 @@
 // and predict_batch() remain as thin submit()+get() wrappers, so existing
 // blocking callers migrate mechanically.
 //
-// A dedicated dispatcher thread coalesces pending windows into one [B, T, C]
-// forward pass (whose tensor ops fan out over util::ThreadPool; while another
-// thread's fork is in flight, such as a second Router shard's, a fork runs
-// inline on the dispatcher). Three knobs shape the batching:
+// Pending windows sit in one interactive/bulk queue pair under one mutex. A
+// dispatcher thread coalesces them into one [B, T, C] forward pass (whose
+// tensor ops fan out over util::ThreadPool; while another thread's fork is
+// in flight a fork runs inline on the dispatcher). A plain Engine has one
+// replica — one backbone, one classifier, one dispatcher. serve::Router
+// builds Engines with N replicas: every replica's dispatcher takes its next
+// batch from the same queue pair, so an idle replica picks up work the
+// moment it exists and no request waits behind a busy replica while another
+// sits idle. Three knobs shape the batching:
 //
-//   batch_window_us  how long the dispatcher may hold a non-full batch open
+//   batch_window_us  how long a dispatcher may hold a non-full batch open
 //                    waiting for more arrivals (0 = greedy: launch whatever
 //                    is queued). Per-request deadlines cap the wait: a
 //                    request with deadline d must be launched within d of
@@ -24,27 +29,27 @@
 //                    consecutive bulk-free batches the oldest bulk request is
 //                    served first, so backfill cannot starve.
 //   max_queue_depth  bounded queue providing backpressure: submissions
-//                    beyond this many undispatched requests are rejected
-//                    with QueueFullError instead of growing without bound.
+//                    beyond replicas x this many undispatched requests are
+//                    rejected with QueueFullError instead of growing
+//                    without bound.
 //
 // Batching never changes results: every sample in a batch is computed by the
-// same per-row arithmetic as a batch of one, so batched predictions are
-// bit-identical to the single-window path regardless of deadline/priority
-// options (tested).
+// same per-row arithmetic as a batch of one, and every replica holds the
+// same weights, so predictions are bit-identical to the single-window path
+// regardless of batch, replica or deadline/priority options (tested).
 //
-// Consumes: raw windows of window_length x channels floats (optionally
-// normalized via the artifact's per-channel stats). Produces: Prediction
-// {argmax label, logits}. The Engine owns its models; client threads never
-// touch them, which is what makes concurrent use safe. After shutdown() (or
-// during destruction) further submissions throw std::runtime_error; requests
-// already queued are drained and fulfilled.
+// Consumes: raw windows of window_length x channels floats (normalized with
+// the artifact's per-channel stats when it carries them). Produces:
+// Prediction {argmax label, logits}. The Engine owns its models; client
+// threads never touch them, which is what makes concurrent use safe. After
+// shutdown() (or during destruction) further submissions throw
+// std::runtime_error; requests already queued are drained and fulfilled.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <mutex>
 #include <span>
@@ -87,16 +92,16 @@ struct QueueFullError : std::runtime_error {
 /// queueing delay (batches ahead of it × the recent EWMA batch latency)
 /// exceeds the deadline, so running it would only waste a batch slot on a
 /// result the caller has contracted to consider late. Derives from
-/// QueueFullError so shed-load handling (Router's walk-the-shards retry,
-/// loadgen rejected-counting) applies unchanged — it is backpressure, just
-/// detected per-deadline instead of per-queue-bound.
+/// QueueFullError so shed-load handling (loadgen rejected-counting, the
+/// stream layer's drop accounting) applies unchanged — it is backpressure,
+/// just detected per-deadline instead of per-queue-bound.
 struct HopelessDeadlineError : QueueFullError {
   using QueueFullError::QueueFullError;
 };
 
 /// Thrown by submit()/predict() after shutdown() — including while an old
 /// engine drains during Router::swap_artifact. Distinct from backpressure:
-/// the Router re-routes to the live replacement shard instead of counting
+/// the Router resubmits to the live replacement engine instead of counting
 /// it against the caller. Derives from std::runtime_error, so pre-existing
 /// "submit after shutdown throws runtime_error" handling is unchanged.
 struct EngineStoppedError : std::runtime_error {
@@ -110,18 +115,17 @@ struct EngineConfig {
   /// requests, in microseconds. 0 = greedy (launch whatever is queued the
   /// moment the dispatcher is free) — the pre-async behaviour.
   std::int64_t batch_window_us = 0;
-  /// Bound on undispatched requests; submissions beyond it throw
-  /// QueueFullError. Must be positive.
+  /// Bound on undispatched requests per replica (a Router's Engine admits
+  /// replicas x this many); submissions beyond it throw QueueFullError.
+  /// Must be positive.
   std::int64_t max_queue_depth = 1024;
   /// Reject requests whose deadline is already hopeless at submit time
   /// (estimated queueing delay > deadline) with HopelessDeadlineError.
   /// Conservative by construction: the estimate is floor(queue_depth /
-  /// max_batch_size) × the EWMA batch latency, so an engine with no batch
-  /// history or with less than one full batch queued never rejects.
+  /// (max_batch_size × replicas)) × the EWMA batch latency, so an engine
+  /// with no batch history or with less than one full batch per replica
+  /// queued never rejects.
   bool deadline_admission = true;
-  /// Apply the artifact's per-channel normalization stats (when present) to
-  /// incoming windows. Disable when callers pre-normalize.
-  bool apply_normalization = true;
   /// Synthetic (zeros-window) forward passes run at construction to seed
   /// ewma_batch_ms before any real traffic arrives. Without this, deadline
   /// admission is wide open on a cold engine: the gate needs a latency
@@ -133,7 +137,7 @@ struct EngineConfig {
   std::int64_t warmup_forwards = 1;
   /// When positive, seeds ewma_batch_ms directly and skips the warmup
   /// forwards. Router::swap_artifact uses this to carry the admission
-  /// estimate across a hot-swap, so the replacement shard rejects hopeless
+  /// estimate across a hot-swap, so the replacement engine rejects hopeless
   /// deadlines from its first submission.
   double initial_ewma_batch_ms = 0.0;
 };
@@ -157,11 +161,6 @@ using Clock = std::chrono::steady_clock;
 
 /// One queued submission, self-contained: the (already normalized) window,
 /// its batching policy stamps, and the promise its ResponseHandle waits on.
-/// Serve-internal — exposed here only because cross-shard work stealing
-/// (Engine::steal_pending / inject_stolen, wired by the Router) moves
-/// requests between engines serving the same artifact; whichever engine
-/// fulfils a request produces the identical result, so moving one changes
-/// only its latency.
 struct Request {
   std::vector<float> window;  // already normalized, size T*C
   Priority priority = Priority::kInteractive;
@@ -215,8 +214,7 @@ class ResponseHandle {
 };
 
 /// Monotonic service counters plus distribution histograms (a consistent
-/// snapshot via Engine::stats(); Router::stats() aggregates across shards
-/// via aggregate_stats()).
+/// snapshot via Engine::stats() or Router::stats()).
 struct EngineStats {
   std::uint64_t requests = 0;       // windows predicted
   std::uint64_t batches = 0;        // forward passes run
@@ -226,30 +224,21 @@ struct EngineStats {
   /// Submissions refused by deadline admission control (disjoint from
   /// `rejected`, which counts only queue-bound refusals).
   std::uint64_t rejected_hopeless = 0;
-  /// Requests this engine pulled from sibling shards' queues while its own
-  /// dispatcher was idle (Router cross-shard work stealing); counted into
-  /// `requests` by the fulfilling — this — engine.
+  /// Always 0: replicas share one queue, so no request ever moves between
+  /// queues. Kept because sagabench reports it as router.stolen.
   std::uint64_t stolen = 0;
-  /// Requests sibling shards pulled out of this engine's queues.
-  std::uint64_t donated = 0;
   /// Exponentially weighted moving average of forward-pass wall time, in
   /// milliseconds — the admission control's service-time estimate. Seeded
   /// by the constructor's warmup forwards (see EngineConfig), so it is
   /// positive from the first submission unless warmup is disabled.
   double ewma_batch_ms = 0.0;
-  /// For a single engine, identical to ewma_batch_ms. In a Router
-  /// aggregate, ewma_batch_ms becomes the depth-weighted mean across
-  /// shards and this field keeps the slowest shard's estimate, so
-  /// worst-case consumers still have the old (pre-fix) max available.
-  double ewma_batch_ms_worst = 0.0;
   /// Undispatched + in-flight requests at snapshot time (the same measure as
   /// Engine::queue_depth(), captured atomically with the counters above).
   /// Unlike the other fields this is a gauge, not a monotonic counter.
   std::uint64_t queue_depth = 0;
   /// Distributions over every forward pass: wall time per batch, windows
   /// per batch, and queued+in-flight depth observed at batch launch. Fixed
-  /// log-scale layouts (serve::Histogram), merged element-wise across
-  /// shards by Router::stats().
+  /// log-scale layouts (serve::Histogram).
   Histogram batch_latency_ms_hist = Histogram::latency_ms();
   Histogram batch_size_hist = Histogram::batch_sizes();
   Histogram queue_depth_hist = Histogram::depths();
@@ -287,52 +276,19 @@ class Engine {
   /// predict() once per window, but submits them all before collecting any
   /// result so the dispatcher can batch them together. All-or-nothing under
   /// backpressure: either every window is enqueued or QueueFullError is
-  /// thrown and none are. A group larger than max_queue_depth could never
+  /// thrown and none are. A group larger than the queue bound could never
   /// be admitted and throws std::invalid_argument instead (retrying would
   /// never help).
   std::vector<Prediction> predict_batch(
       const std::vector<std::vector<float>>& windows,
       RequestOptions options = {});
 
-  /// Undispatched + in-flight requests right now — the router's routing
-  /// signal and the backpressure measure.
+  /// Undispatched + in-flight requests right now — the backpressure
+  /// measure.
   std::size_t queue_depth() const;
-  /// Undispatched requests only (no in-flight): the measure the bounded
-  /// queue admits against, and the work-stealing skew signal.
-  std::size_t pending_depth() const;
 
-  // ---- cross-shard work stealing (Router plumbing) --------------------
-  /// A work source the idle dispatcher polls: asked for up to `max`
-  /// requests, it returns requests stolen from a sibling engine serving
-  /// the same artifact (or an empty vector when no sibling runs hot).
-  using WorkSource =
-      std::function<std::vector<detail::Request>(std::size_t max)>;
-  /// Installs (or, with nullptr, removes) the work source. With a source
-  /// set, a dispatcher that goes idle invokes it before sleeping and then
-  /// re-polls every `poll` instead of blocking indefinitely, so a queue
-  /// running hot on a sibling is discovered within one poll interval.
-  /// Stolen requests launch immediately (the thief is idle, so their
-  /// batch-window stamps collapse to now) and are counted under
-  /// stats().stolen. Thread-safe.
-  void set_work_source(WorkSource source, std::chrono::microseconds poll);
-  /// Pops up to `max_requests` undispatched requests off this engine's
-  /// queues, oldest-first within the same order the dispatcher would have
-  /// taken them (expired deadlines, then interactive, then bulk), and
-  /// counts them under stats().donated. Returns empty after shutdown (a
-  /// draining engine keeps its own queue). The caller owns the requests
-  /// and must hand them to an engine serving the same artifact — results
-  /// are then bit-identical, only latency changes.
-  std::vector<detail::Request> steal_pending(std::size_t max_requests);
-  /// Enqueues requests stolen from a sibling (keeping their priority
-  /// class and deadline stamps) and wakes the dispatcher; counts them
-  /// under stats().stolen. Deliberately not subject to max_queue_depth:
-  /// this is rebalancing of already-admitted work, not new admission.
-  /// Throws EngineStoppedError after shutdown — the caller still owns the
-  /// requests and must place them elsewhere.
-  void inject_stolen(std::vector<detail::Request> requests);
-
-  /// Drains pending requests, then stops the dispatcher. Idempotent; called
-  /// by the destructor.
+  /// Drains pending requests, then stops every dispatcher. Idempotent;
+  /// called by the destructor.
   void shutdown();
 
   /// The loaded artifact's metadata (configs, task, provenance, norm stats).
@@ -347,8 +303,27 @@ class Engine {
   EngineStats stats() const;
 
  private:
+  friend class Router;
   using Clock = detail::Clock;
   using Request = detail::Request;
+
+  /// One model copy, run only by its own dispatcher thread. The counters
+  /// are guarded by mutex_ and feed replica_stats().
+  struct Replica {
+    models::LimuBertBackbone backbone;
+    models::GruClassifier classifier;
+    std::uint64_t requests = 0;
+    std::uint64_t batches = 0;
+  };
+
+  /// Router's constructor: `replicas` model copies drain the one queue.
+  Engine(Artifact artifact, EngineConfig config, std::size_t replicas);
+
+  /// Per-replica snapshots (only requests and batches are filled in): how
+  /// the shared queue's work split across replicas.
+  std::vector<EngineStats> replica_stats() const;
+  /// The bound on undispatched requests: replicas x max_queue_depth.
+  std::size_t queue_capacity() const noexcept;
 
   Request make_request(std::span<const float> window,
                        const RequestOptions& options) const;
@@ -360,21 +335,22 @@ class Engine {
   /// the depth bound. Returns the handles in submission order.
   std::vector<ResponseHandle> enqueue_all(std::vector<Request>& staged,
                                           Clock::time_point submitted);
-  void dispatch_loop();
+  void dispatch_loop(Replica& replica);
   /// Pops the next batch (mutex_ must be held). Deadline-expired requests
   /// are taken first (the deadline contract), then priority order with the
   /// bulk anti-starvation guard.
   std::vector<Request> take_batch_locked(Clock::time_point now);
-  void run_batch(std::vector<Request>& batch, std::uint64_t batch_index);
+  void run_batch(Replica& replica, std::vector<Request>& batch,
+                 std::uint64_t batch_index);
   /// Seeds stats_.ewma_batch_ms before the engine is published: either
   /// from config_.initial_ewma_batch_ms, or by timing warmup_forwards
-  /// synthetic zeros-window passes (counters and histograms untouched).
+  /// synthetic zeros-window passes on the first replica (counters and
+  /// histograms untouched).
   void warm_up();
 
   Artifact artifact_;
   EngineConfig config_;
-  models::LimuBertBackbone backbone_;
-  models::GruClassifier classifier_;
+  std::vector<Replica> replicas_;  // fixed size once dispatchers start
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;
@@ -384,10 +360,8 @@ class Engine {
   std::uint64_t batches_since_bulk_ = 0;
   EngineStats stats_;
   bool stopping_ = false;
-  WorkSource work_source_;                  // guarded by mutex_
-  std::chrono::microseconds work_poll_{0};  // guarded by mutex_
   std::once_flag join_once_;  // serializes concurrent shutdown() joins
-  std::thread dispatcher_;    // last member: joined before the rest dies
+  std::vector<std::thread> dispatchers_;  // last member: joined first
 };
 
 }  // namespace saga::serve

@@ -18,9 +18,9 @@
 //       process — a diurnal/bursty trace in miniature: for burst_duty of
 //       every burst_period_s the instantaneous rate is burst_peak x the
 //       mean, and the off-phase rate is scaled down so the long-run mean
-//       stays offered_rps. This is the workload that makes cross-shard work
-//       stealing and deadline admission measurable: steady Poisson load
-//       rarely skews queues enough to matter.
+//       stays offered_rps. This is the workload that makes the bounded
+//       queue and deadline admission measurable: steady Poisson load
+//       rarely builds a queue deep enough to matter.
 //
 // Consumes: a running Engine or Router. Produces: a LoadReport (pure data;
 // latency measured submission -> fulfilment inside the engine, so deferred

@@ -6,10 +6,10 @@
 // accounting in PAPERS.md).
 //
 // The bucket layout is FIXED at construction (a lower edge, a growth
-// factor, a bucket count) and identical layouts merge element-wise — that
-// is what lets Router aggregate per-shard histograms into one fleet-wide
-// view without resampling. Log-scale buckets give constant relative error:
-// the same layout resolves a 0.2 ms batch and a 2 s stall.
+// factor, a bucket count) and identical layouts merge element-wise, so
+// histograms from separate runs or engines combine without resampling.
+// Log-scale buckets give constant relative error: the same layout resolves
+// a 0.2 ms batch and a 2 s stall.
 //
 // Bucket semantics for layout {min, growth, n}:
 //   bucket 0        [0, min)                     (the underflow bucket)
@@ -44,7 +44,7 @@ class Histogram {
   /// std::invalid_argument on min_value <= 0, growth <= 1, or buckets < 3.
   Histogram(double min_value, double growth, std::size_t buckets);
 
-  // ---- the standard serving layouts (shared so shards always merge) ----
+  // ---- the standard serving layouts (shared so they always merge) ----
   /// Latency in milliseconds: 0.1 ms .. ~26 s in x2 steps (20 buckets).
   static Histogram latency_ms();
   /// Batch sizes: 1 .. 1024 in x2 steps (12 buckets).

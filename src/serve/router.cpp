@@ -1,6 +1,5 @@
 #include "serve/router.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,208 +8,37 @@ namespace saga::serve {
 
 namespace {
 
-/// Bound on snapshot-refresh rounds in submit(): each round only repeats
-/// when a concurrent swap stopped the attempted shard, and a swap replaces
-/// each slot exactly once, so in practice one refresh suffices; the bound
-/// turns a would-be livelock (pathological back-to-back swaps) into a
-/// clean error.
-constexpr std::size_t kMaxSubmitRounds = 16;
-
 RouterConfig checked(RouterConfig config) {
   if (config.shards == 0) {
     throw std::invalid_argument("Router: shards must be positive");
-  }
-  if (config.work_stealing && config.steal_poll_us <= 0) {
-    throw std::invalid_argument(
-        "Router: steal_poll_us must be positive when work_stealing is on");
   }
   return config;
 }
 
 }  // namespace
 
-EngineStats aggregate_stats(const std::vector<EngineStats>& shards) {
-  EngineStats total;
-  double weighted_ewma = 0.0;
-  double weight = 0.0;
-  for (const EngineStats& s : shards) {
-    total.requests += s.requests;
-    total.batches += s.batches;
-    total.largest_batch = std::max(total.largest_batch, s.largest_batch);
-    total.bulk_requests += s.bulk_requests;
-    total.rejected += s.rejected;
-    total.rejected_hopeless += s.rejected_hopeless;
-    total.stolen += s.stolen;
-    total.donated += s.donated;
-    total.queue_depth += s.queue_depth;
-    total.batch_latency_ms_hist.merge(s.batch_latency_ms_hist);
-    total.batch_size_hist.merge(s.batch_size_hist);
-    total.queue_depth_hist.merge(s.queue_depth_hist);
-    // Queueing-delay estimates don't sum across shards. Weight each live
-    // estimate by its shard's load (depth + 1, so an idle shard still
-    // counts at base weight): the mean then answers "what delay does the
-    // next request expect", which is what admission-style consumers read.
-    // The old max-across-shards figure stays available as _worst.
-    if (s.ewma_batch_ms > 0.0) {
-      const double w = static_cast<double>(s.queue_depth) + 1.0;
-      weighted_ewma += w * s.ewma_batch_ms;
-      weight += w;
-    }
-    total.ewma_batch_ms_worst =
-        std::max(total.ewma_batch_ms_worst, s.ewma_batch_ms);
-  }
-  total.ewma_batch_ms = weight > 0.0 ? weighted_ewma / weight : 0.0;
-  return total;
-}
-
 Router::Router(const Artifact& artifact, RouterConfig config)
-    : config_(checked(std::move(config))) {
-  slots_.reserve(config_.shards);
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    // Each Engine takes its own copy: the Engine constructor consumes the
-    // artifact's weight blobs when building its model replica.
-    slots_.push_back(Slot{make_engine(artifact, 0.0), 0});
-  }
-  // Work sources only after every slot exists: a source installed earlier
-  // would observe a half-built slot table.
-  for (Slot& slot : slots_) install_work_source(slot.engine, slot.generation);
-}
+    : config_(checked(std::move(config))),
+      // The replica constructor is private to Engine, hence no make_shared.
+      engine_(new Engine(artifact, config_.engine, config_.shards)) {}
 
-Router::~Router() {
-  // Joins every dispatcher before any member dies: a dispatcher's steal
-  // callback reads slots_ through `this`.
-  shutdown();
-}
+Router::~Router() { shutdown(); }
 
-std::shared_ptr<Engine> Router::make_engine(const Artifact& artifact,
-                                            double carry_ewma_ms) const {
-  EngineConfig engine_config = config_.engine;
-  if (carry_ewma_ms > 0.0) {
-    // Hot-swap: the outgoing shard's admission estimate seeds the
-    // replacement directly, so deadline admission never reopens during a
-    // cutover (and the replacement skips its warmup forwards).
-    engine_config.initial_ewma_batch_ms = carry_ewma_ms;
-  }
-  return std::make_shared<Engine>(artifact, engine_config);
-}
-
-void Router::install_work_source(const std::shared_ptr<Engine>& engine,
-                                 std::uint64_t generation) {
-  if (!config_.work_stealing || config_.shards < 2) return;
-  // The callback runs on the engine's own dispatcher thread, which this
-  // Router joins (via Engine::shutdown) before dropping the engine — in
-  // swap_artifact for retired shards and in ~Router for live ones — so
-  // `this` outlives every invocation.
-  Engine* self = engine.get();
-  engine->set_work_source(
-      [this, self, generation](std::size_t max_requests) {
-        return steal_for(self, generation, max_requests);
-      },
-      std::chrono::microseconds(config_.steal_poll_us));
-}
-
-std::vector<detail::Request> Router::steal_for(const Engine* thief,
-                                               std::uint64_t generation,
-                                               std::size_t max_requests) {
-  std::shared_ptr<Engine> victim;
-  {
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) return {};
-    // The thief must still be a live slot at its own generation: a swap
-    // retires slots one at a time, and a retired (draining) engine must
-    // not pull new work it would serve with the outgoing version.
-    bool thief_live = false;
-    for (const Slot& slot : slots_) {
-      if (slot.engine.get() == thief && slot.generation == generation) {
-        thief_live = true;
-        break;
-      }
-    }
-    if (!thief_live) return {};
-    const std::size_t threshold =
-        config_.steal_threshold != 0
-            ? config_.steal_threshold
-            : static_cast<std::size_t>(config_.engine.max_batch_size);
-    // Deepest same-generation sibling over the threshold. The generation
-    // check is what makes a steal version-safe mid-swap: requests only
-    // ever move between engines serving the identical artifact, so the
-    // result is bit-identical and only the latency changes.
-    std::size_t victim_depth = threshold;
-    for (const Slot& slot : slots_) {
-      if (slot.engine.get() == thief || slot.generation != generation) {
-        continue;
-      }
-      const std::size_t depth = slot.engine->pending_depth();
-      if (depth > victim_depth) {
-        victim_depth = depth;
-        victim = slot.engine;
-      }
-    }
-  }
-  if (!victim) return {};
-  // Outside slots_mutex_: steal_pending takes the victim's engine mutex,
-  // and the shared_ptr keeps the victim alive even if a swap retires it
-  // right now (in which case steal_pending sees it stopping and returns
-  // empty — a draining engine keeps its own queue).
-  return victim->steal_pending(max_requests);
-}
-
-std::vector<std::shared_ptr<Engine>> Router::snapshot_engines() const {
-  const std::lock_guard<std::mutex> lock(slots_mutex_);
-  std::vector<std::shared_ptr<Engine>> engines;
-  engines.reserve(slots_.size());
-  for (const Slot& slot : slots_) engines.push_back(slot.engine);
-  return engines;
+std::shared_ptr<Engine> Router::engine() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return engine_;
 }
 
 ResponseHandle Router::submit(std::span<const float> window,
                               RequestOptions options) {
-  for (std::size_t round = 0; round < kMaxSubmitRounds; ++round) {
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    const std::vector<std::shared_ptr<Engine>> engines = snapshot_engines();
-    const std::size_t n = engines.size();
-    const std::size_t start = static_cast<std::size_t>(rotation_.fetch_add(
-                                  1, std::memory_order_relaxed)) %
-                              n;
-    // Backpressure retry: each attempt re-ranks the not-yet-tried shards
-    // against fresh queue depths (the pre-rejection snapshot is stale by
-    // the time a retry runs — a shard that just drained must be found, and
-    // one that just filled must not be re-offered its stale rank). Ties
-    // resolve round-robin from the rotated origin via strict "<". The
-    // depth reads remain a heuristic — the queue bound, not the router,
-    // enforces limits.
-    std::vector<bool> tried(n, false);
-    std::exception_ptr last_full;
-    bool saw_stopped = false;
-    for (std::size_t attempt = 0; attempt < n; ++attempt) {
-      std::size_t best = n;
-      std::size_t best_depth = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t index = (start + i) % n;
-        if (tried[index]) continue;
-        const std::size_t depth = engines[index]->queue_depth();
-        if (best == n || depth < best_depth) {
-          best = index;
-          best_depth = depth;
-        }
-      }
-      tried[best] = true;
-      try {
-        return engines[best]->submit(window, options);
-      } catch (const QueueFullError&) {
-        last_full = std::current_exception();
-      } catch (const EngineStoppedError&) {
-        // A swap retired this shard between snapshot and attempt; note it
-        // and finish the walk — the refreshed snapshot next round holds
-        // its replacement.
-        saw_stopped = true;
-      }
+  // An Engine stops only after swap_artifact has published its replacement
+  // (or once shutdown has set stopping_), so each retry reads a newer
+  // Engine: the loop repeats at most once per concurrent swap.
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    try {
+      return engine()->submit(window, options);
+    } catch (const EngineStoppedError&) {
     }
-    if (saw_stopped && !stopping_.load(std::memory_order_relaxed)) {
-      continue;  // refresh the slot snapshot and retry
-    }
-    if (last_full) std::rethrow_exception(last_full);
-    break;  // every shard stopped and the router is stopping
   }
   throw EngineStoppedError("Router::submit: router is shut down");
 }
@@ -221,101 +49,67 @@ Prediction Router::predict(std::span<const float> window,
 }
 
 void Router::swap_artifact(const Artifact& next) {
-  // One swap (or shutdown) at a time; submissions and steals proceed
-  // concurrently under slots_mutex_.
+  // One swap (or shutdown) at a time; submissions proceed concurrently.
   const std::lock_guard<std::mutex> swap_lock(swap_mutex_);
   if (stopping_.load(std::memory_order_relaxed)) {
     throw EngineStoppedError("Router::swap_artifact: router is shut down");
   }
+  const std::shared_ptr<Engine> retiring = engine();
+  // Shape compatibility against the running bundle: every queued request
+  // is a window_length x channels window, and the replacement must accept
+  // it unchanged. num_classes may differ (a new version may add classes);
+  // requests carry no class-count expectation.
+  const Artifact& running = retiring->artifact();
+  if (next.window_length() != running.window_length() ||
+      next.channels() != running.channels()) {
+    throw std::invalid_argument(
+        "Router::swap_artifact: incompatible artifact (running " +
+        std::to_string(running.window_length()) + "x" +
+        std::to_string(running.channels()) + ", next " +
+        std::to_string(next.window_length()) + "x" +
+        std::to_string(next.channels()) +
+        "); the running engine is unchanged");
+  }
+  // The running estimate seeds the replacement directly, so deadline
+  // admission never reopens during the cutover (and the replacement skips
+  // its warmup forwards). Structural problems in `next` throw here, before
+  // anything is published.
+  EngineConfig engine_config = config_.engine;
+  const double ewma_ms = retiring->stats().ewma_batch_ms;
+  if (ewma_ms > 0.0) engine_config.initial_ewma_batch_ms = ewma_ms;
+  std::shared_ptr<Engine> replacement(
+      new Engine(next, engine_config, config_.shards));
   {
-    // Shape compatibility against the running bundle: every queued request
-    // is a window_length x channels window, and the replacement must
-    // accept it unchanged. num_classes may differ (a new version may add
-    // classes); requests carry no class-count expectation.
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
-    const Artifact& running = slots_.front().engine->artifact();
-    if (next.window_length() != running.window_length() ||
-        next.channels() != running.channels()) {
-      throw std::invalid_argument(
-          "Router::swap_artifact: incompatible artifact (running " +
-          std::to_string(running.window_length()) + "x" +
-          std::to_string(running.channels()) + ", next " +
-          std::to_string(next.window_length()) + "x" +
-          std::to_string(next.channels()) +
-          "); the running fleet is unchanged");
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    engine_ = std::move(replacement);
+    ++generation_;
   }
-  const std::uint64_t next_generation = artifact_generation() + 1;
-  // Shard-by-shard cutover. Per shard: build the replacement (structural
-  // problems in `next` throw here, on the first shard, before any slot is
-  // touched), install it, then drain the old engine. Install-before-drain
-  // means the fleet never loses a serving slot, and draining fulfills
-  // every request the old engine had admitted — on the version it was
-  // admitted to. A submission racing the cutover that reaches the old
-  // engine gets EngineStoppedError and is re-routed by Router::submit.
-  for (std::size_t s = 0; s < config_.shards; ++s) {
-    std::shared_ptr<Engine> retiring;
-    {
-      const std::lock_guard<std::mutex> lock(slots_mutex_);
-      retiring = slots_[s].engine;
-    }
-    std::shared_ptr<Engine> replacement =
-        make_engine(next, retiring->stats().ewma_batch_ms);
-    install_work_source(replacement, next_generation);
-    {
-      const std::lock_guard<std::mutex> lock(slots_mutex_);
-      slots_[s] = Slot{replacement, next_generation};
-    }
-    // Drain outside slots_mutex_: shutdown joins the old dispatcher, which
-    // may be blocked in steal_for waiting for that same mutex.
-    retiring->shutdown();
-  }
-  const std::lock_guard<std::mutex> lock(slots_mutex_);
-  generation_ = next_generation;
+  // Publish before drain: new submissions go to the replacement, and
+  // draining fulfils every request the old Engine admitted on the version
+  // it was admitted to. A submission that reaches the old Engine from here
+  // on gets EngineStoppedError and is resubmitted by Router::submit.
+  retiring->shutdown();
 }
 
 std::uint64_t Router::artifact_generation() const {
-  const std::lock_guard<std::mutex> lock(slots_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return generation_;
 }
 
 void Router::shutdown() {
   const std::lock_guard<std::mutex> swap_lock(swap_mutex_);
   stopping_.store(true, std::memory_order_relaxed);
-  // Engines are drained outside slots_mutex_ for the same join-vs-steal
-  // reason as in swap_artifact; stopping_ keeps new steals from starting.
-  for (const std::shared_ptr<Engine>& engine : snapshot_engines()) {
-    engine->shutdown();
-  }
+  engine()->shutdown();
 }
 
-std::shared_ptr<Engine> Router::shard(std::size_t index) const {
-  const std::lock_guard<std::mutex> lock(slots_mutex_);
-  if (index >= slots_.size()) {
-    throw std::out_of_range("Router::shard: index out of range");
-  }
-  return slots_[index].engine;
-}
+std::size_t Router::queue_depth() const { return engine()->queue_depth(); }
 
-std::size_t Router::queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& engine : snapshot_engines()) depth += engine->queue_depth();
-  return depth;
-}
-
-EngineStats Router::stats() const { return aggregate_stats(shard_stats()); }
+EngineStats Router::stats() const { return engine()->stats(); }
 
 std::vector<EngineStats> Router::shard_stats() const {
-  std::vector<EngineStats> stats;
-  const std::vector<std::shared_ptr<Engine>> engines = snapshot_engines();
-  stats.reserve(engines.size());
-  for (const auto& engine : engines) stats.push_back(engine->stats());
-  return stats;
+  return engine()->replica_stats();
 }
 
-Artifact Router::artifact() const {
-  const std::lock_guard<std::mutex> lock(slots_mutex_);
-  return slots_.front().engine->artifact();
-}
+Artifact Router::artifact() const { return engine()->artifact(); }
 
 }  // namespace saga::serve

@@ -1,45 +1,27 @@
-// serve::Router — multi-Engine sharding for multi-core hosts: N identical
-// Engines, each with its own models cloned from one Artifact, behind a
-// single submit() front door.
+// serve::Router — multi-core serving and artifact hot-swap behind one
+// submit() front door.
 //
-// Each shard owns a full model replica and its own dispatcher thread, so
-// shards never contend on model state; the Router's shared state is the slot
-// array (engine + artifact generation, guarded by a mutex so hot-swap can
-// replace entries) and a rotation counter. Routing is least-queue-depth: a
-// submission goes to the shard with the fewest undispatched + in-flight
-// requests, with a rotating starting shard so ties (the idle steady state)
-// spread round-robin instead of piling onto shard 0. Because every shard
-// serves the same model, which shard handles a request never changes its
-// result — only its latency.
+// The Router holds one serve::Engine built with `shards` replicas: each
+// replica is a full model copy with its own dispatcher thread, and every
+// replica takes its batches from the Engine's one queue. An idle replica
+// picks up the next batch as soon as one exists, so there is nothing to
+// route and nothing to rebalance. Because every replica serves the same
+// model, which one handles a request never changes its result — only its
+// latency.
 //
-// Three fleet-hardening mechanisms sit on top of the basic sharding:
-//
-//   hot-swap        swap_artifact(next) validates the incoming bundle
-//                   against the running one, then replaces shards one at a
-//                   time: install the replacement (so the fleet never loses
-//                   a serving slot), then drain the old engine — every
-//                   request it had admitted is fulfilled by the version it
-//                   was submitted to, so a cutover drops and misroutes
-//                   nothing. Submissions that race the cutover see
-//                   EngineStoppedError internally and are transparently
-//                   re-routed to a live slot.
-//   work stealing   an idle shard's dispatcher polls Router::steal_for,
-//                   which moves a batch-worth of queued requests from the
-//                   sibling with the deepest backlog (past a threshold)
-//                   onto the idle shard. Bounds tail latency under skewed
-//                   arrivals; generation checks stop a steal from ever
-//                   crossing an in-progress version cutover.
-//   histogram stats stats() aggregates per-shard EngineStats via
-//                   aggregate_stats(): counters sum, histograms merge
-//                   element-wise, and ewma_batch_ms becomes a depth-
-//                   weighted mean (the slowest shard stays available as
-//                   ewma_batch_ms_worst).
+// swap_artifact(next) validates the incoming bundle against the running
+// one, builds a replacement Engine (seeded with the running Engine's
+// admission EWMA), publishes it to new submissions, then drains the old
+// Engine: every request the old Engine had admitted is fulfilled by the
+// version it was submitted to, so a cutover drops and misroutes nothing.
+// A submission that races the cutover and reaches the draining Engine sees
+// EngineStoppedError internally and is resubmitted to the replacement.
 //
 // Consumes: the same windows/RequestOptions as Engine::submit. Produces:
-// ResponseHandles (and aggregated EngineStats across shards). Thread-safe:
-// any number of clients may submit concurrently, including across a
-// swap_artifact. shutdown() drains every shard; like Engine, further
-// submissions then throw.
+// ResponseHandles and the Engine's EngineStats. Thread-safe: any number of
+// clients may submit concurrently, including across a swap_artifact.
+// shutdown() drains the Engine; like Engine, further submissions then
+// throw.
 #pragma once
 
 #include <atomic>
@@ -55,52 +37,27 @@
 namespace saga::serve {
 
 struct RouterConfig {
-  /// Number of Engine replicas. Each holds a full copy of the model, so
-  /// memory scales linearly with shards.
+  /// Number of model replicas draining the one queue. Each holds a full
+  /// copy of the model, so memory scales linearly with shards.
   std::size_t shards = 2;
-  /// Per-shard engine configuration (batching, backpressure, normalization).
+  /// Engine configuration (batching, backpressure, admission). The queue
+  /// bound max_queue_depth applies per replica.
   EngineConfig engine;
-  /// Cross-shard work stealing: an idle shard's dispatcher pulls up to a
-  /// batch-worth of queued requests from the sibling with the deepest
-  /// backlog. Only active with >= 2 shards.
-  bool work_stealing = true;
-  /// A sibling is a steal victim only while its undispatched queue exceeds
-  /// this many requests. 0 = auto: one max_batch_size (the victim keeps at
-  /// least a full batch for itself, so stealing never causes ping-pong of
-  /// the last batch).
-  std::size_t steal_threshold = 0;
-  /// How often an idle dispatcher re-polls for steal victims, in
-  /// microseconds. Must be positive when work_stealing is on.
-  std::int64_t steal_poll_us = 500;
 };
-
-/// Aggregates per-shard snapshots into one fleet-wide view: counters and
-/// queue_depth sum, largest_batch is the max, histograms merge element-wise.
-/// ewma_batch_ms is the depth-weighted mean over shards with a live estimate
-/// (weight = queue_depth + 1, so idle shards still count at base weight);
-/// ewma_batch_ms_worst keeps the slowest shard's estimate. Exposed as a free
-/// function so the skew arithmetic is unit-testable without threads.
-EngineStats aggregate_stats(const std::vector<EngineStats>& shards);
 
 class Router {
  public:
-  /// Builds `config.shards` Engines, each constructed from its own copy of
-  /// `artifact`. Throws std::invalid_argument when shards == 0 or the
-  /// stealing knobs are out of range.
+  /// Builds one Engine with `config.shards` replicas of `artifact`. Throws
+  /// std::invalid_argument when shards == 0.
   Router(const Artifact& artifact, RouterConfig config = {});
   ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Submits to the least-loaded shard. Same contract as Engine::submit;
-  /// under backpressure the remaining shards are tried in turn — each retry
-  /// re-ranks the untried shards against fresh queue depths, so a shard
-  /// that drained since the first snapshot is found and one that filled is
-  /// not re-offered the stale pick. QueueFullError therefore means every
-  /// shard's bounded queue was full at its own attempt. A shard stopped by
-  /// a concurrent swap_artifact is retried transparently against the
-  /// refreshed slot table.
+  /// Same contract as Engine::submit. A submission that reaches an Engine
+  /// retired by a concurrent swap_artifact is resubmitted to its
+  /// replacement.
   ResponseHandle submit(std::span<const float> window,
                         RequestOptions options = {});
 
@@ -110,34 +67,30 @@ class Router {
 
   /// Hot-swaps the serving artifact: validates `next` (manifest integrity
   /// plus window_length/channels compatibility with the running bundle,
-  /// so every queued request stays a valid input), then replaces shards
-  /// one at a time — replacement first, then drain the old engine, so
-  /// every in-flight request completes on the version it was admitted to
-  /// and no submission finds zero live slots. The admission EWMA carries
-  /// from each old shard into its replacement, keeping deadline admission
-  /// closed across the cutover. Serialized with other swaps and shutdown;
-  /// throws std::invalid_argument on an incompatible artifact (the running
-  /// fleet is untouched) and EngineStoppedError after shutdown.
+  /// so every queued request stays a valid input), builds its Engine with
+  /// the running Engine's admission EWMA (keeping deadline admission
+  /// closed across the cutover), publishes it, then drains the old Engine
+  /// so every admitted request completes on the version it was admitted
+  /// to. Serialized with other swaps and shutdown; throws
+  /// std::invalid_argument on an incompatible artifact (the running Engine
+  /// is untouched) and EngineStoppedError after shutdown.
   void swap_artifact(const Artifact& next);
 
   /// Monotonic version counter: 0 for the construction artifact, +1 per
   /// completed swap_artifact.
   std::uint64_t artifact_generation() const;
 
-  /// Drains and stops every shard. Idempotent.
+  /// Drains and stops the Engine. Idempotent.
   void shutdown();
 
   std::size_t shards() const noexcept { return config_.shards; }
-  /// Pins shard `index`'s current engine (a swap may retire it afterwards;
-  /// the shared_ptr keeps the pinned engine valid). Test/introspection
-  /// seam.
-  std::shared_ptr<Engine> shard(std::size_t index) const;
 
-  /// Undispatched + in-flight requests across all shards.
+  /// Undispatched + in-flight requests.
   std::size_t queue_depth() const;
-  /// Fleet-wide aggregate of the per-shard snapshots (see aggregate_stats).
+  /// The serving Engine's snapshot (a swap starts the counters afresh).
   EngineStats stats() const;
-  /// Per-shard counter snapshots, for load-balance introspection.
+  /// Per-replica snapshots carrying requests and batches: how the queue's
+  /// work split across replicas.
   std::vector<EngineStats> shard_stats() const;
 
   const RouterConfig& config() const noexcept { return config_; }
@@ -147,39 +100,17 @@ class Router {
   Artifact artifact() const;
 
  private:
-  struct Slot {
-    std::shared_ptr<Engine> engine;
-    std::uint64_t generation = 0;
-  };
-
-  /// Builds one engine for `generation`, carrying `carry_ewma_ms` (when
-  /// positive) into its admission estimate instead of re-running warmup.
-  std::shared_ptr<Engine> make_engine(const Artifact& artifact,
-                                      double carry_ewma_ms) const;
-  /// Wires the idle-dispatcher work source onto `engine` (no-op when
-  /// stealing is off or there is a single shard).
-  void install_work_source(const std::shared_ptr<Engine>& engine,
-                           std::uint64_t generation);
-  /// The work source behind shard `thief`: picks the same-generation
-  /// sibling whose undispatched queue is deepest (and over the threshold)
-  /// and steals up to `max_requests` from it. Returns empty when the thief
-  /// is no longer a live slot (swap retired it), no sibling is over the
-  /// threshold, or the router is stopping.
-  std::vector<detail::Request> steal_for(const Engine* thief,
-                                         std::uint64_t generation,
-                                         std::size_t max_requests);
-  std::vector<std::shared_ptr<Engine>> snapshot_engines() const;
+  std::shared_ptr<Engine> engine() const;
 
   RouterConfig config_;
-  mutable std::mutex slots_mutex_;  // guards slots_ and generation_
-  std::vector<Slot> slots_;
+  mutable std::mutex mutex_;  // guards engine_ and generation_
+  std::shared_ptr<Engine> engine_;
   std::uint64_t generation_ = 0;
   /// Serializes swap_artifact and shutdown (slow control-plane operations)
-  /// without blocking the submit/steal data plane, which only needs
-  /// slots_mutex_. Acquired strictly before slots_mutex_.
+  /// without blocking submit, which only needs mutex_. Acquired strictly
+  /// before mutex_.
   std::mutex swap_mutex_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> rotation_{0};  // tie-break start offset
 };
 
 }  // namespace saga::serve

@@ -1,5 +1,6 @@
 #include "util/env.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace saga::util {
@@ -8,8 +9,9 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* value = std::getenv(name.c_str());
   if (value == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value) return fallback;
+  if (end == value || *end != '\0' || errno == ERANGE) return fallback;
   return static_cast<std::int64_t>(parsed);
 }
 
@@ -17,8 +19,9 @@ double env_double(const std::string& name, double fallback) {
   const char* value = std::getenv(name.c_str());
   if (value == nullptr) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(value, &end);
-  if (end == value) return fallback;
+  if (end == value || *end != '\0' || errno == ERANGE) return fallback;
   return parsed;
 }
 

@@ -22,7 +22,7 @@ thread_local bool t_in_fork = false;
 // How long an idle worker polls for the next fork before it sleeps, and a
 // joining caller polls before it yields. It bridges the gaps between the
 // forks of one forward pass; a much longer spin (~1 ms) steals the cores
-// that other threads (Router shards, the stream pump) need between requests.
+// that other threads (Router replicas, the stream pump) need between requests.
 constexpr auto kSpin = std::chrono::microseconds(50);
 
 constexpr std::uint64_t kNextOne = std::uint64_t{1} << 16;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -492,7 +493,8 @@ TEST_F(ServeTest, RouterServesConcurrentClientsCorrectly) {
   EXPECT_EQ(mismatches.load(), 0);
   const EngineStats total = router.stats();
   EXPECT_EQ(total.requests, kThreads * kPerThread);
-  // Least-depth + rotating tie-break must spread work across both shards.
+  // An idle replica takes the next batch while the other runs one, so both
+  // replicas serve some of the traffic.
   const auto per_shard = router.shard_stats();
   ASSERT_EQ(per_shard.size(), 2U);
   EXPECT_GT(per_shard[0].requests, 0U);
@@ -681,37 +683,6 @@ TEST_F(ServeTest, EngineStatsExportHistograms) {
 
 // ---- stat aggregation and admission bugfixes -----------------------------
 
-TEST(ServeAggregateStats, EwmaIsDepthWeightedMeanNotMax) {
-  // Regression: the old Router::stats() reported max(ewma) across shards AS
-  // the fleet ewma, so one slow shard masqueraded as the mean. Skew two
-  // shards and check the weighted mean, with the worst kept separately.
-  EngineStats fast;
-  fast.ewma_batch_ms = 10.0;
-  fast.queue_depth = 1;
-  fast.requests = 100;
-  EngineStats slow;
-  slow.ewma_batch_ms = 100.0;
-  slow.queue_depth = 9;
-  slow.requests = 20;
-  slow.largest_batch = 7;
-  const EngineStats total = aggregate_stats({fast, slow});
-  // Weights are depth+1: (2*10 + 10*100) / 12 = 85.
-  EXPECT_DOUBLE_EQ(total.ewma_batch_ms, 85.0);
-  EXPECT_DOUBLE_EQ(total.ewma_batch_ms_worst, 100.0);
-  EXPECT_LT(total.ewma_batch_ms, 100.0);  // the regression assertion
-  EXPECT_EQ(total.requests, 120U);
-  EXPECT_EQ(total.queue_depth, 10U);
-  EXPECT_EQ(total.largest_batch, 7U);
-
-  // A shard with no estimate yet (ewma 0) is excluded from the mean rather
-  // than dragging it toward zero.
-  EngineStats cold;
-  cold.queue_depth = 50;
-  const EngineStats with_cold = aggregate_stats({fast, slow, cold});
-  EXPECT_DOUBLE_EQ(with_cold.ewma_batch_ms, 85.0);
-  EXPECT_DOUBLE_EQ(aggregate_stats({cold}).ewma_batch_ms, 0.0);
-}
-
 TEST_F(ServeTest, ColdEngineRejectsHopelessDeadlinesViaWarmupSeed) {
   // Regression: the admission gate only fires when ewma_batch_ms > 0, so a
   // cold engine used to admit arbitrarily hopeless deadlines until its
@@ -736,6 +707,21 @@ TEST_F(ServeTest, ColdEngineRejectsHopelessDeadlinesViaWarmupSeed) {
                HopelessDeadlineError);
   EXPECT_EQ(engine.stats().rejected_hopeless, 1U);
   for (auto& handle : parked) (void)handle.get();
+
+  // The same gate behind a two-replica Router: its one Engine warms up
+  // once, and 32 parked requests are 16 rounds of two batches ahead.
+  Router router(artifact(), {.shards = 2, .engine = {.max_batch_size = 1}});
+  EXPECT_GT(router.stats().ewma_batch_ms, 0.0);
+  EXPECT_EQ(router.stats().batches, 0U);
+  parked.clear();
+  for (std::int64_t i = 0; i < 32; ++i) {
+    parked.push_back(router.submit(window(i), {.priority = Priority::kBulk}));
+  }
+  EXPECT_THROW((void)router.submit(window(1),
+                                   {.deadline = std::chrono::microseconds(1)}),
+               HopelessDeadlineError);
+  EXPECT_EQ(router.stats().rejected_hopeless, 1U);
+  for (auto& handle : parked) (void)handle.get();
 }
 
 TEST_F(ServeTest, InitialEwmaSeedSkipsWarmup) {
@@ -743,7 +729,6 @@ TEST_F(ServeTest, InitialEwmaSeedSkipsWarmup) {
                              .warmup_forwards = 4,
                              .initial_ewma_batch_ms = 123.0});
   EXPECT_DOUBLE_EQ(engine.stats().ewma_batch_ms, 123.0);
-  EXPECT_DOUBLE_EQ(engine.stats().ewma_batch_ms_worst, 123.0);
   EXPECT_THROW(Engine(artifact(), {.warmup_forwards = -1}),
                std::invalid_argument);
   EXPECT_THROW(Engine(artifact(), {.initial_ewma_batch_ms = -0.5}),
@@ -751,18 +736,15 @@ TEST_F(ServeTest, InitialEwmaSeedSkipsWarmup) {
 }
 
 TEST_F(ServeTest, TwoShardBackpressureFloodStaysConsistent) {
-  // Regression companion for the stale-snapshot retry fix: flood a tiny
-  // two-shard fleet from several threads. Every submission must either be
-  // accepted (and later return a bit-correct result) or throw
-  // QueueFullError — no deadlocks, no lost requests, and the re-ranked
-  // retry keeps both shards in play.
+  // Flood a tiny two-replica Router from several threads. Every submission
+  // must either be accepted (and later return a bit-correct result) or
+  // throw QueueFullError — no deadlocks, no lost requests.
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 10;
   constexpr std::int64_t kDistinct = 3;
   Router router(artifact(), {.shards = 2,
                              .engine = {.max_batch_size = 1,
-                                        .max_queue_depth = 2},
-                             .work_stealing = false});
+                                        .max_queue_depth = 2}});
   Engine reference(artifact(), {.max_batch_size = 1});
   std::vector<Prediction> expected;
   for (std::int64_t i = 0; i < kDistinct; ++i) {
@@ -796,119 +778,78 @@ TEST_F(ServeTest, TwoShardBackpressureFloodStaysConsistent) {
   }
   const EngineStats total = router.stats();
   EXPECT_EQ(total.requests, collected.size());
-  // Engine-side rejection counting is per-attempt (a request the retry
-  // walked across both full shards counts once per shard), so the fleet
-  // figure bounds the caller-visible rejections from below.
-  EXPECT_GE(total.rejected + total.rejected_hopeless, rejected.load());
+  // One queue makes one admission decision per submission, so the Engine
+  // counts exactly the refusals its callers saw.
+  EXPECT_EQ(total.rejected, rejected.load());
+  EXPECT_EQ(total.rejected_hopeless, 0U);
 }
 
-TEST_F(ServeTest, SubmitRanksShardsByLiveDepthNotStaleSnapshot) {
-  // Deterministic version of the re-ranking contract: skew the queues via
-  // the stealing seam, then check the next submission lands on the shard
-  // that is empty NOW (a stale pre-skew snapshot would have sent it to the
-  // other one). The long batch window parks everything; deadlines keep the
-  // eventual drain prompt.
+TEST_F(ServeTest, ReplicasDrainOneQueueWhileShutdownRacesSubmitters) {
+  // Four clients flood a two-replica Router while shutdown() lands in the
+  // middle. Every submission is either accepted and later resolved
+  // bit-identically to a one-replica Engine, or refused with
+  // EngineStoppedError (after shutdown) or QueueFullError (the bound of
+  // 2 replicas x 3); nothing accepted is dropped, and the replicas' counts
+  // add up to the Engine's.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 25;
+  constexpr std::int64_t kDistinct = 5;
   Router router(artifact(), {.shards = 2,
-                             .engine = {.max_batch_size = 8,
-                                        .batch_window_us = 2'000'000},
-                             .work_stealing = false});
-  const RequestOptions deadline{.deadline = std::chrono::microseconds(500000)};
-  std::vector<ResponseHandle> handles;
-  for (std::int64_t i = 0; i < 4; ++i) {
-    handles.push_back(router.submit(window(i), deadline));
-  }
-  // Least-depth routing spread the four submissions 2/2.
-  EXPECT_EQ(router.shard(0)->pending_depth(), 2U);
-  EXPECT_EQ(router.shard(1)->pending_depth(), 2U);
-
-  // Skew: move shard 0's queue onto shard 1.
-  router.shard(1)->inject_stolen(router.shard(0)->steal_pending(8));
-  EXPECT_EQ(router.shard(0)->pending_depth(), 0U);
-  EXPECT_EQ(router.shard(1)->pending_depth(), 4U);
-
-  handles.push_back(router.submit(window(4), deadline));
-  EXPECT_EQ(router.shard(0)->pending_depth(), 1U);  // routed by live depth
-
-  router.shutdown();  // drains both shards immediately
+                             .engine = {.max_batch_size = 2,
+                                        .max_queue_depth = 3}});
   Engine reference(artifact(), {.max_batch_size = 1});
-  for (std::int64_t i = 0; i < 5; ++i) {
-    const Prediction p = handles[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(p.logits, reference.predict(window(i)).logits);
+  std::vector<Prediction> expected;
+  for (std::int64_t i = 0; i < kDistinct; ++i) {
+    expected.push_back(reference.predict(window(i)));
   }
-}
 
-// ---- cross-shard work stealing -------------------------------------------
-
-TEST_F(ServeTest, StealPendingMovesRequestsBitIdentically) {
-  // Mechanics at the Engine level: requests stolen out of a parked queue
-  // and injected into a sibling serving the same artifact are fulfilled
-  // bit-identically; donated/stolen counters record the move.
-  Engine victim(artifact(), {.max_batch_size = 8,
-                             .batch_window_us = 2'000'000});
-  // max_batch 3 so the injected batch is full and dispatches immediately
-  // (stolen requests keep their original launch_by stamps).
-  Engine thief(artifact(), {.max_batch_size = 3});
-  std::vector<ResponseHandle> handles;
-  for (std::int64_t i = 0; i < 4; ++i) {
-    handles.push_back(victim.submit(window(i)));
+  std::mutex collected_mutex;
+  std::vector<std::pair<std::int64_t, ResponseHandle>> collected;
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> stopped{0};
+  std::atomic<std::uint64_t> full{0};
+  std::atomic<std::uint64_t> other_errors{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kPerThread; ++r) {
+        const auto i = static_cast<std::int64_t>((t + r) % kDistinct);
+        try {
+          ResponseHandle handle = router.submit(window(i));
+          accepted.fetch_add(1);
+          const std::lock_guard<std::mutex> lock(collected_mutex);
+          collected.emplace_back(i, std::move(handle));
+        } catch (const EngineStoppedError&) {
+          stopped.fetch_add(1);
+        } catch (const QueueFullError&) {
+          full.fetch_add(1);
+        } catch (...) {
+          other_errors.fetch_add(1);
+        }
+      }
+    });
   }
-  EXPECT_EQ(victim.pending_depth(), 4U);
+  while (accepted.load() < kThreads) std::this_thread::yield();
+  router.shutdown();
+  for (auto& thread : threads) thread.join();
 
-  std::vector<detail::Request> moved = victim.steal_pending(3);
-  ASSERT_EQ(moved.size(), 3U);  // oldest-first: windows 0, 1, 2
-  EXPECT_EQ(victim.pending_depth(), 1U);
-  EXPECT_EQ(victim.stats().donated, 3U);
-  thief.inject_stolen(std::move(moved));
-
-  Engine reference(artifact(), {.max_batch_size = 1});
-  for (std::int64_t i = 0; i < 3; ++i) {
-    const Prediction p = handles[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(p.logits, reference.predict(window(i)).logits);
-  }
-  EXPECT_EQ(thief.stats().stolen, 3U);
-  EXPECT_EQ(thief.stats().requests, 3U);  // counted by the fulfilling engine
-  victim.shutdown();  // drains the unstolen fourth request
-  EXPECT_EQ(handles[3].get().logits, reference.predict(window(3)).logits);
-  EXPECT_EQ(victim.stats().requests, 1U);
-
-  // After shutdown both seams refuse: a draining engine keeps its queue,
-  // and a stopped engine hands injected requests back to the caller.
-  EXPECT_TRUE(victim.steal_pending(4).empty());
-  thief.shutdown();
-  std::vector<detail::Request> orphan;
-  orphan.push_back(detail::Request{});
-  EXPECT_THROW(thief.inject_stolen(std::move(orphan)), EngineStoppedError);
-}
-
-TEST_F(ServeTest, RouterWorkStealingRebalancesSkewedArrivals) {
-  // Fleet-level wiring: park a backlog on shard 0 (long batch window, not
-  // enough requests to fill a batch) and let shard 1's idle dispatcher
-  // discover and steal it within a poll interval. The 50 ms deadlines
-  // bound the test even if stealing were broken (shard 0 would then serve
-  // everything itself at deadline expiry — and the stolen-counter
-  // assertions below would fail, flagging the regression).
-  Router router(artifact(), {.shards = 2,
-                             .engine = {.max_batch_size = 16,
-                                        .batch_window_us = 2'000'000},
-                             .steal_threshold = 4,
-                             .steal_poll_us = 200});
-  Engine reference(artifact(), {.max_batch_size = 1});
-  std::vector<ResponseHandle> handles;
-  for (std::int64_t i = 0; i < 8; ++i) {
-    handles.push_back(router.shard(0)->submit(
-        window(i), {.deadline = std::chrono::microseconds(50000)}));
-  }
-  for (std::int64_t i = 0; i < 8; ++i) {
-    const Prediction p = handles[static_cast<std::size_t>(i)].get();
-    EXPECT_EQ(p.logits, reference.predict(window(i)).logits);
+  EXPECT_EQ(other_errors.load(), 0U);
+  EXPECT_EQ(collected.size() + stopped.load() + full.load(),
+            kThreads * kPerThread);
+  for (auto& [i, handle] : collected) {
+    const Prediction p = handle.get();
+    EXPECT_EQ(p.logits, expected[static_cast<std::size_t>(i)].logits);
+    EXPECT_EQ(p.label, expected[static_cast<std::size_t>(i)].label);
   }
   const EngineStats total = router.stats();
-  EXPECT_EQ(total.requests, 8U);
-  EXPECT_GT(total.stolen, 0U);  // the idle shard picked up skewed work
-  EXPECT_EQ(total.stolen, total.donated);  // conservation of moved requests
-  const auto per_shard = router.shard_stats();
-  EXPECT_EQ(per_shard[1].stolen, total.stolen);
-  EXPECT_EQ(per_shard[0].donated, total.donated);
+  EXPECT_EQ(total.requests, collected.size());
+  EXPECT_EQ(total.rejected, full.load());
+  EXPECT_EQ(total.queue_depth, 0U);
+  std::uint64_t replica_requests = 0;
+  for (const EngineStats& s : router.shard_stats()) {
+    replica_requests += s.requests;
+  }
+  EXPECT_EQ(replica_requests, total.requests);
 }
 
 // ---- artifact hot-swap ---------------------------------------------------
@@ -934,9 +875,8 @@ TEST_F(ServeTest, HotSwapServesInFlightRequestsOnTheOldVersion) {
                                 .batch_window_us = 2'000'000,
                                 .warmup_forwards = 0}});
   EXPECT_EQ(router.artifact_generation(), 0U);
-  // Real traffic primes the per-shard EWMAs; the 5 ms deadlines force a
-  // launch well before the 2 s batch window, one request per shard
-  // (least-depth + rotation alternates on an idle fleet).
+  // Real traffic primes the EWMA; the 5 ms deadlines force a launch well
+  // before the 2 s batch window.
   const RequestOptions prompt{.deadline = std::chrono::microseconds(5000)};
   (void)router.predict(window(0), prompt);
   (void)router.predict(window(1), prompt);
@@ -950,19 +890,18 @@ TEST_F(ServeTest, HotSwapServesInFlightRequestsOnTheOldVersion) {
   router.swap_artifact(v2);
   EXPECT_EQ(router.artifact_generation(), 1U);
 
-  // Every pre-swap request was drained by the old engines during the
+  // Every pre-swap request was drained by the old engine during the
   // cutover: nothing dropped, nothing served by the new version.
   for (std::int64_t i = 0; i < 6; ++i) {
     const Prediction p = pre_swap[static_cast<std::size_t>(i)].get();
     EXPECT_EQ(p.logits, ref1.predict(window(i)).logits);
   }
 
-  // The replacements carried the admission estimate: no traffic yet, no
+  // The replacement carried the admission estimate: no traffic yet, no
   // warmup configured, EWMA still positive.
-  for (const EngineStats& s : router.shard_stats()) {
-    EXPECT_EQ(s.batches, 0U);
-    EXPECT_GT(s.ewma_batch_ms, 0.0);
-  }
+  EXPECT_EQ(router.stats().batches, 0U);
+  EXPECT_GT(router.stats().ewma_batch_ms, 0.0);
+  for (const EngineStats& s : router.shard_stats()) EXPECT_EQ(s.batches, 0U);
 
   // Post-swap traffic is served by the new version.
   for (std::int64_t i = 0; i < 4; ++i) {
@@ -1000,8 +939,8 @@ TEST_F(ServeTest, HotSwapUnderConcurrentTrafficNeverDropsOrMixesVersions) {
   client.join();
 
   // Every request completed with exactly one version's bit pattern, and
-  // the post-join probe confirms the fleet finished on v2. (Per-shard
-  // counters retire with their engines, so no fleet-total assertion here.)
+  // the post-join probe confirms the Router finished on v2. (Counters
+  // retire with their engine, so no total assertion here.)
   EXPECT_EQ(anomalies.load(), 0);
   EXPECT_EQ(v1_results.load() + v2_results.load(), 40);
   EXPECT_EQ(router.predict(window(0)).logits, expected_v2);
@@ -1016,7 +955,7 @@ TEST_F(ServeTest, HotSwapRejectsIncompatibleArtifactAndKeepsServing) {
   wrong_shape.backbone_config.max_seq_len += 8;  // window_length mismatch
   EXPECT_THROW(router.swap_artifact(wrong_shape), std::invalid_argument);
   EXPECT_EQ(router.artifact_generation(), 0U);
-  // The running fleet is untouched and still serves v1.
+  // The running engine is untouched and still serves v1.
   EXPECT_EQ(router.predict(window(0)).logits, ref1.predict(window(0)).logits);
 
   router.shutdown();

@@ -484,7 +484,24 @@ TEST(Env, FallsBackWhenUnset) {
 TEST(Env, ParsesSetValues) {
   ::setenv("SAGA_TEST_SET_VAR", "123", 1);
   EXPECT_EQ(env_int("SAGA_TEST_SET_VAR", 0), 123);
+  ::setenv("SAGA_TEST_SET_VAR", "-4.25", 1);
+  EXPECT_DOUBLE_EQ(env_double("SAGA_TEST_SET_VAR", 0.0), -4.25);
   ::unsetenv("SAGA_TEST_SET_VAR");
+}
+
+TEST(Env, RejectsMalformedValues) {
+  // Trailing characters and out-of-range values fall back instead of
+  // reading a prefix or a clamped value.
+  for (const char* malformed : {"", "abc", "12abc", "1e999"}) {
+    ::setenv("SAGA_TEST_BAD_VAR", malformed, 1);
+    EXPECT_EQ(env_int("SAGA_TEST_BAD_VAR", 7), 7) << malformed;
+    EXPECT_DOUBLE_EQ(env_double("SAGA_TEST_BAD_VAR", 2.5), 2.5) << malformed;
+  }
+  // Past INT64_MAX for the integer parser; an ordinary 1e20 as a double.
+  ::setenv("SAGA_TEST_BAD_VAR", "99999999999999999999", 1);
+  EXPECT_EQ(env_int("SAGA_TEST_BAD_VAR", 7), 7);
+  EXPECT_DOUBLE_EQ(env_double("SAGA_TEST_BAD_VAR", 2.5), 1e20);
+  ::unsetenv("SAGA_TEST_BAD_VAR");
 }
 
 }  // namespace
