@@ -15,7 +15,9 @@
 #                                 pump-thread handoff) plus the view-aliasing,
 #                                 fused-GRU, int8-quant and fused-attention
 #                                 suites (shared Storage buffers under the
-#                                 pooled matmul backward; gemm_s8's M-split
+#                                 pooled matmul backward; four threads
+#                                 allocating and freeing through the one
+#                                 buffer pool; gemm_s8's M-split
 #                                 over the pool; attention's per-(b, h)
 #                                 gradient slices written from pool workers;
 #                                 the full suite under TSan is too slow)
@@ -24,7 +26,8 @@
 #                                 quant suites — the eltwise/gemm/gemm_s8
 #                                 kernel edge paths,
 #                                 the NoGrad tape-skip lifetimes, the backward
-#                                 closures over saved buffers, and the ring's
+#                                 closures over saved buffers (parked pool
+#                                 buffers are poisoned), and the ring's
 #                                 wraparound indexing are where
 #                                 use-after-free/overflow bugs would hide
 set -euo pipefail
@@ -69,8 +72,8 @@ fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"
-# The suites that fork-join over the shared pool from several threads, run
-# repeatedly under full parallel load: a completion race shows up here as a
-# red run, not as a flaky abort elsewhere.
+# The suites that fork-join over the shared pool, or allocate through the one
+# buffer pool, from several threads, run repeatedly under full parallel load:
+# a race shows up here as a red run, not as a flaky abort elsewhere.
 ctest --output-on-failure -j "$(nproc)" --repeat until-fail:5 \
-  -R "^(test_util|test_serve|test_stream|test_quant)"
+  -R "^(test_util|test_serve|test_stream|test_quant|test_views)"

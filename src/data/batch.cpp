@@ -12,7 +12,7 @@ Batch make_batch(const Dataset& dataset, const std::vector<std::int64_t>& indice
   const std::int64_t c = dataset.channels;
   const auto b = static_cast<std::int64_t>(indices.size());
 
-  std::vector<float> values(static_cast<std::size_t>(b * t * c));
+  Buffer values = Buffer::uninitialized(static_cast<std::size_t>(b * t * c));
   Batch batch;
   batch.labels.reserve(indices.size());
   batch.indices = indices;

@@ -137,8 +137,11 @@ BatchMask mask_batch(const Tensor& inputs, MaskLevel level,
   const std::int64_t channels = inputs.size(2);
   const std::int64_t stride = length * channels;
 
-  std::vector<float> masked(static_cast<std::size_t>(inputs.numel()));
-  std::vector<float> mask_values(static_cast<std::size_t>(inputs.numel()));
+  // Every window's copy below covers its whole stride.
+  Buffer masked =
+      Buffer::uninitialized(static_cast<std::size_t>(inputs.numel()));
+  Buffer mask_values =
+      Buffer::uninitialized(static_cast<std::size_t>(inputs.numel()));
   const float* src = inputs.data().data();
 
   // Derive per-sample seeds up front so the result does not depend on thread

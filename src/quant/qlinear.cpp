@@ -119,7 +119,7 @@ Tensor linear_forward(const Tensor& x, const LinearQuant& q) {
   gemm::gemm_s8(a_q.data(), k_padded, q.packed, acc.data(), n, m);
 
   // Bias joins in the caller's fused eltwise pass.
-  std::vector<float> y(static_cast<std::size_t>(m * n));
+  Buffer y = Buffer::uninitialized(static_cast<std::size_t>(m * n));
   dequant_rows(acc.data(), m, q, y.data());
   return Tensor::from_data({m, n}, std::move(y), false);
 }
@@ -175,7 +175,7 @@ Tensor linear_chain_forward(const Tensor& x, const LinearQuant& q1,
                              k2_padded);
   gemm::gemm_s8(a2.data(), k2_padded, q2.packed, acc2.data(), n2, m);
 
-  std::vector<float> y(static_cast<std::size_t>(m * n2));
+  Buffer y = Buffer::uninitialized(static_cast<std::size_t>(m * n2));
   dequant_rows(acc2.data(), m, q2, y.data());
   return Tensor::from_data({m, n2}, std::move(y), false);
 }

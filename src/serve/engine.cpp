@@ -409,10 +409,11 @@ void Engine::run_batch(Replica& replica, std::vector<Request>& batch,
     const auto b = static_cast<std::int64_t>(batch.size());
     const std::int64_t t = artifact_.window_length();
     const std::int64_t c = artifact_.channels();
-    std::vector<float> packed;
-    packed.reserve(static_cast<std::size_t>(b * t * c));
+    // submit() checked that every window holds t * c values.
+    Buffer packed = Buffer::uninitialized(static_cast<std::size_t>(b * t * c));
+    float* dst = packed.data();
     for (const Request& request : batch) {
-      packed.insert(packed.end(), request.window.begin(), request.window.end());
+      dst = std::copy(request.window.begin(), request.window.end(), dst);
     }
     const Tensor inputs = Tensor::from_data({b, t, c}, std::move(packed));
     const Tensor logits =

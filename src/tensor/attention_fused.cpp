@@ -54,19 +54,17 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
   const float* kd = k.data().data();
   const float* vd = v.data().data();
 
-  std::vector<float> out(static_cast<std::size_t>(batch * seq * dim));
+  // The context GEMMs (accumulate=false) write every element.
+  Buffer out =
+      Buffer::uninitialized(static_cast<std::size_t>(batch * seq * dim));
   // Softmax probabilities are backward-only state. Under the tape they are
-  // saved for all pairs ([B, H, T, T], shared with the backward closure);
+  // saved for all pairs ([B, H, T, T], moved into the backward closure);
   // under NoGrad each worker reuses a per-thread [T, T] scratch instead —
-  // same arithmetic, no B*H-sized allocation. The saved buffer is left
-  // uninitialized: the scores GEMM overwrites every element, and each worker
-  // first-touches its own pairs.
+  // same arithmetic, no B*H-sized allocation. The saved buffer comes from
+  // the pool uninitialized: the scores GEMM overwrites every element.
   const bool tape = detail::tape_active({&q, &k, &v});
-  std::shared_ptr<float[]> probs;
-  if (tape) {
-    probs = std::make_shared_for_overwrite<float[]>(
-        static_cast<std::size_t>(batch * num_heads * seq * seq));
-  }
+  Buffer probs = Buffer::uninitialized(
+      tape ? static_cast<std::size_t>(batch * num_heads * seq * seq) : 0);
   // The softmax kernel pair is resolved here, on the calling thread: the
   // (b, h) loop runs on pool workers, and a caller's eltwise pin is
   // thread-local. The backward closure reuses the forward's pair.
@@ -80,7 +78,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
     thread_local std::vector<float> scores_scratch;
     float* prow_base;
     if (tape) {
-      prow_base = probs.get() + pair * seq * seq;
+      prow_base = probs.data() + pair * seq * seq;
     } else {
       if (static_cast<std::int64_t>(scores_scratch.size()) < seq * seq) {
         scores_scratch.resize(static_cast<std::size_t>(seq * seq));
@@ -103,8 +101,8 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
 
   return detail::make_result(
       q.shape(), std::move(out), {&q, &k, &v}, "fused_attention", [&] {
-    return [q_impl = q.impl(), k_impl = k.impl(), v_impl = v.impl(), probs,
-            kt, batch, seq, dim, num_heads, head_dim,
+    return [q_impl = q.impl(), k_impl = k.impl(), v_impl = v.impl(),
+            probs = std::move(probs), kt, batch, seq, dim, num_heads, head_dim,
             inv_sqrt_d](const TensorImpl& o) {
         const bool need_q = detail::wants_grad(*q_impl);
         const bool need_k = detail::wants_grad(*k_impl);
@@ -124,7 +122,7 @@ Tensor fused_multi_head_attention(const Tensor& q_in, const Tensor& k_in,
           const std::int64_t b = static_cast<std::int64_t>(pair) / num_heads;
           const std::int64_t h = static_cast<std::int64_t>(pair) % num_heads;
           const std::int64_t c0 = h * head_dim;
-          const float* prow_base = probs.get() + pair * seq * seq;
+          const float* prow_base = probs.data() + pair * seq * seq;
           const float* go_h = go + offset(b, 0, c0, seq, dim);
 
           // dV_h += P^T x dOut_h.

@@ -12,9 +12,12 @@
 // operand, which is consumed as a row-strided view so per-timestep slices of
 // a precomputed [B, T, 3H] gate buffer feed the cell copy-free.
 //
-// All kernels run serially: the tensors here are small enough that the
-// per-call thread-pool fan-out would cost more than the sweep itself, and a
-// serial sweep is trivially deterministic.
+// All kernels run serially on the calling thread, which keeps every sweep
+// trivially deterministic. That is not free at pre-training shapes: the
+// bias-GELU over a 128-window batch's FFN activations sweeps 15360 rows of
+// 96, far more work than a fork-join call costs, so these sweeps are a
+// serial share of the training step that splitting rows over the pool
+// would remove.
 #include "tensor/eltwise/eltwise.hpp"
 
 #include <memory>
@@ -106,7 +109,7 @@ Tensor bias_add(const Tensor& x_in, const Tensor& bias_in) {
   const std::int64_t m = bias.numel();
   const std::int64_t blocks = x.numel() / m;
   const detail::Kernels& kt = detail::active_kernels();
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(x.numel()));
   kt.tile_add(x.impl()->data_ptr(), bias.impl()->data_ptr(), 1.0F, out.data(),
               blocks, m);
   return saga::detail::make_result(
@@ -143,7 +146,7 @@ Tensor scale_add(const Tensor& x_in, const Tensor& tile_in, float alpha) {
   const std::int64_t m = tile.numel();
   const std::int64_t blocks = x.numel() / m;
   const detail::Kernels& kt = detail::active_kernels();
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(x.numel()));
   kt.tile_add(x.impl()->data_ptr(), tile.impl()->data_ptr(), alpha, out.data(),
               blocks, m);
   return saga::detail::make_result(
@@ -171,7 +174,7 @@ Tensor bias_gelu(const Tensor& x_in, const Tensor& bias_in) {
   const std::int64_t m = with_bias ? bias.numel() : x.numel();
   const std::int64_t blocks = with_bias ? x.numel() / m : 1;
   const detail::Kernels& kt = detail::active_kernels();
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(x.numel()));
   kt.bias_gelu(x.impl()->data_ptr(),
                with_bias ? bias.impl()->data_ptr() : nullptr, out.data(),
                blocks, m);
@@ -227,9 +230,11 @@ Tensor residual_layer_norm(const Tensor& x_in, const Tensor& residual_in,
       with_residual
           ? saga::detail::tape_active({&x, &residual, &gamma, &beta})
           : saga::detail::tape_active({&x, &gamma, &beta});
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
-  std::vector<float> xhat(tape ? static_cast<std::size_t>(x.numel()) : 0);
-  std::vector<float> inv_std(tape ? static_cast<std::size_t>(rows) : 0);
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(x.numel()));
+  Buffer xhat =
+      Buffer::uninitialized(tape ? static_cast<std::size_t>(x.numel()) : 0);
+  Buffer inv_std =
+      Buffer::uninitialized(tape ? static_cast<std::size_t>(rows) : 0);
   kt.layer_norm(x.impl()->data_ptr(),
                 with_residual ? residual.impl()->data_ptr() : nullptr,
                 gamma.impl()->data_ptr(), beta.impl()->data_ptr(), eps,
@@ -297,24 +302,22 @@ Tensor gru_cell(const Tensor& gi_in, const Tensor& gh_in, const Tensor& h_in) {
   // Gate activations r/z/n are backward-only state, saved only when the tape
   // is active; the forward arithmetic is identical either way.
   const bool tape = saga::detail::tape_active({&gi, &gh, &h});
-  const auto rzn =
-      tape ? std::make_shared<std::vector<float>>(
-                 static_cast<std::size_t>(batch * 3 * hidden))
-           : std::shared_ptr<std::vector<float>>();
-  std::vector<float> out(static_cast<std::size_t>(batch * hidden));
+  Buffer rzn = Buffer::uninitialized(
+      tape ? static_cast<std::size_t>(batch * 3 * hidden) : 0);
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(batch * hidden));
   kt.gru_cell(gi.impl()->data_ptr(), gi_stride, gh.impl()->data_ptr(),
-              h.impl()->data_ptr(), out.data(),
-              rzn != nullptr ? rzn->data() : nullptr, batch, hidden);
+              h.impl()->data_ptr(), out.data(), tape ? rzn.data() : nullptr,
+              batch, hidden);
   return saga::detail::make_result(
       {batch, hidden}, std::move(out), {&gi, &gh, &h}, "gru_cell", [&] {
         return [gi_impl = gi.impl(), gh_impl = gh.impl(), h_impl = h.impl(),
-                kt = &kt, gi_stride, rzn, batch,
+                kt = &kt, gi_stride, rzn = std::move(rzn), batch,
                 hidden](const TensorImpl& o) {
           const bool need_gi = saga::detail::wants_grad(*gi_impl);
           const bool need_gh = saga::detail::wants_grad(*gh_impl);
           const bool need_h = saga::detail::wants_grad(*h_impl);
           if (!need_gi && !need_gh && !need_h) return;
-          kt->gru_cell_bwd(rzn->data(), gh_impl->data_ptr(),
+          kt->gru_cell_bwd(rzn.data(), gh_impl->data_ptr(),
                            h_impl->data_ptr(), o.grad_ptr(),
                            need_gi ? gi_impl->grad_ptr() : nullptr, gi_stride,
                            need_gh ? gh_impl->grad_ptr() : nullptr,

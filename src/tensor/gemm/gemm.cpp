@@ -251,8 +251,10 @@ void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           std::int64_t k, bool trans_a, bool trans_b, bool accumulate,
           Kernel kernel, bool parallel) {
   if (m <= 0 || n <= 0) return;
-  if (!accumulate) zero_rows(c, ldc, 0, m, n);
-  if (k <= 0) return;
+  if (k <= 0) {
+    if (!accumulate) zero_rows(c, ldc, 0, m, n);
+    return;
+  }
 
   const std::int64_t work = m * n * k;
   Kernel resolved = kernel == Kernel::kAuto ? resolve_auto() : kernel;
@@ -263,7 +265,10 @@ void gemm(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
     resolved = Kernel::kScalar;
   }
   detail::MicroKernelFn kern = kernel_fn(resolved);
+  // accumulate=false zeroes C inside each M-split range, so the fill runs on
+  // the thread that then accumulates into those rows.
   const auto run_range = [&](std::int64_t lo, std::int64_t hi) {
+    if (!accumulate) zero_rows(c, ldc, lo, hi, n);
     if (kern == nullptr) {
       direct_range(a, lda, b, ldb, c, ldc, lo, hi, n, k, trans_a, trans_b);
     } else {

@@ -34,7 +34,7 @@ Tensor mse_masked(const Tensor& pred_in, const Tensor& target_in,
   const float loss = static_cast<float>(acc / denom);
 
   return detail::make_result(
-      {1}, {loss}, {&pred, &target, &mask}, "mse_masked", [&] {
+      {1}, Buffer::full(1, loss), {&pred, &target, &mask}, "mse_masked", [&] {
     return [p_impl = pred.impl(), t_impl = target.impl(),
             m_impl = mask.impl(), denom](const TensorImpl& o) {
       if (!detail::wants_grad(*p_impl)) return;
@@ -91,7 +91,8 @@ Tensor cross_entropy(const Tensor& logits_in, const std::vector<std::int64_t>& l
   }
   const float loss = static_cast<float>(loss_acc / static_cast<double>(n));
 
-  return detail::make_result({1}, {loss}, {&logits}, "cross_entropy", [&] {
+  return detail::make_result({1}, Buffer::full(1, loss), {&logits},
+                             "cross_entropy", [&] {
     return [l_impl = logits.impl(), labels, n, c,
             softmax_cache = std::move(softmax_cache)](const TensorImpl& o) {
       if (!detail::wants_grad(*l_impl)) return;
@@ -130,7 +131,7 @@ Tensor nt_xent(const Tensor& embeddings, float temperature) {
 
   // Mask self-similarity with a large negative constant (additive mask keeps
   // the op differentiable without special cases).
-  std::vector<float> self_mask(static_cast<std::size_t>(two_n * two_n), 0.0F);
+  Buffer self_mask = Buffer::zeros(static_cast<std::size_t>(two_n * two_n));
   for (std::int64_t r = 0; r < two_n; ++r) {
     self_mask[static_cast<std::size_t>(r * two_n + r)] = -1e9F;
   }
@@ -138,7 +139,7 @@ Tensor nt_xent(const Tensor& embeddings, float temperature) {
 
   Tensor log_probs = log_softmax_lastdim(sim);
   // Positive of row i is i+half (and vice versa): gather those entries.
-  std::vector<float> pos_mask(static_cast<std::size_t>(two_n * two_n), 0.0F);
+  Buffer pos_mask = Buffer::zeros(static_cast<std::size_t>(two_n * two_n));
   for (std::int64_t r = 0; r < half; ++r) {
     pos_mask[static_cast<std::size_t>(r * two_n + (r + half))] = 1.0F;
     pos_mask[static_cast<std::size_t>((r + half) * two_n + r)] = 1.0F;

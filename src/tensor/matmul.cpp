@@ -99,7 +99,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   }
   const Operand oa = resolve(a, false);
   const Operand ob = resolve(b, false);
-  std::vector<float> out(static_cast<std::size_t>(m * n));
+  // gemm(accumulate=false) writes every element.
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(m * n));
   gemm::gemm(oa.t.impl()->data_ptr(), oa.ld, ob.t.impl()->data_ptr(), ob.ld,
              out.data(), n, m, n, k, oa.trans, ob.trans,
              /*accumulate=*/false);
@@ -146,7 +147,7 @@ Tensor bmm(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   const Operand ob = resolve(b, trans_b);
   const std::int64_t c_stride = m * n;
 
-  std::vector<float> out(static_cast<std::size_t>(batch * m * n));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(batch * m * n));
   const float* ad = oa.t.impl()->data_ptr();
   const float* bd = ob.t.impl()->data_ptr();
   // Parallelism lives at the batch level; each per-batch GEMM runs serially.

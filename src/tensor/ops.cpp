@@ -64,7 +64,8 @@ Tensor binary_op(const Tensor& a_in, const Tensor& b_in, const char* name) {
   const Tensor a = contiguous(a_in);
   const Tensor b = contiguous(b_in);
   const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
-  std::vector<float> out(static_cast<std::size_t>(numel_of(out_shape)));
+  Buffer out =
+      Buffer::uninitialized(static_cast<std::size_t>(numel_of(out_shape)));
   const auto av = a.data();
   const auto bv = b.data();
 
@@ -136,7 +137,7 @@ template <typename Policy>
 Tensor unary_op(const Tensor& a_in, const char* name) {
   const Tensor a = contiguous(a_in);
   const auto av = a.data();
-  std::vector<float> out(av.size());
+  Buffer out = Buffer::uninitialized(av.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = Policy::fwd(av[i]);
   return detail::make_result(a.shape(), std::move(out), {&a}, name, [&] {
     return [a_impl = a.impl()](const TensorImpl& o) {
@@ -207,7 +208,7 @@ Tensor neg(const Tensor& a) { return unary_op<NegPolicy>(a, "neg"); }
 Tensor scale(const Tensor& a_in, float factor) {
   const Tensor a = contiguous(a_in);
   const auto av = a.data();
-  std::vector<float> out(av.size());
+  Buffer out = Buffer::uninitialized(av.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = av[i] * factor;
   return detail::make_result(a.shape(), std::move(out), {&a}, "scale", [&] {
     return [a_impl = a.impl(), factor](const TensorImpl& o) {
@@ -223,7 +224,7 @@ Tensor scale(const Tensor& a_in, float factor) {
 Tensor add_scalar(const Tensor& a_in, float value) {
   const Tensor a = contiguous(a_in);
   const auto av = a.data();
-  std::vector<float> out(av.size());
+  Buffer out = Buffer::uninitialized(av.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = av[i] + value;
   return detail::make_result(a.shape(), std::move(out), {&a}, "add_scalar", [&] {
     return [a_impl = a.impl()](const TensorImpl& o) {
@@ -243,8 +244,8 @@ Tensor dropout(const Tensor& a_in, double p, bool training, util::Rng& rng) {
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p));
   const auto drop_p = static_cast<float>(p);
   const auto av = a.data();
-  std::vector<float> mask(av.size());
-  std::vector<float> out(av.size());
+  Buffer mask = Buffer::uninitialized(av.size());
+  Buffer out = Buffer::uninitialized(av.size());
   // One fast stream per call, seeded from the layer's Rng: mask generation is
   // the hot loop of every training forward pass.
   util::FastRng fast(rng.engine()());

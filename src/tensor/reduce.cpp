@@ -11,7 +11,8 @@ Tensor sum(const Tensor& a_in) {
   const Tensor a = contiguous(a_in);
   double acc = 0.0;
   for (const float v : a.data()) acc += v;
-  return detail::make_result({1}, {static_cast<float>(acc)}, {&a}, "sum", [&] {
+  return detail::make_result({1}, Buffer::full(1, static_cast<float>(acc)),
+                             {&a}, "sum", [&] {
     return [a_impl = a.impl()](const TensorImpl& o) {
       if (!detail::wants_grad(*a_impl)) return;
       float* ga = a_impl->grad_ptr();
@@ -27,7 +28,8 @@ Tensor mean(const Tensor& a_in) {
   const auto n = static_cast<double>(a.numel());
   double acc = 0.0;
   for (const float v : a.data()) acc += v;
-  return detail::make_result({1}, {static_cast<float>(acc / n)}, {&a}, "mean",
+  return detail::make_result({1}, Buffer::full(1, static_cast<float>(acc / n)),
+                             {&a}, "mean",
                              [&] {
                                return [a_impl = a.impl(), n](const TensorImpl& o) {
                                  if (!detail::wants_grad(*a_impl)) return;
@@ -43,7 +45,7 @@ Tensor softmax_lastdim(const Tensor& a_in) {
   const Tensor a = contiguous(a_in);
   const std::int64_t cols = a.size(-1);
   const std::int64_t rows = a.numel() / cols;
-  std::vector<float> out(static_cast<std::size_t>(a.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(a.numel()));
   const float* src = a.data().data();
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* x = src + r * cols;
@@ -82,7 +84,7 @@ Tensor log_softmax_lastdim(const Tensor& a_in) {
   const Tensor a = contiguous(a_in);
   const std::int64_t cols = a.size(-1);
   const std::int64_t rows = a.numel() / cols;
-  std::vector<float> out(static_cast<std::size_t>(a.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(a.numel()));
   const float* src = a.data().data();
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* x = src + r * cols;
@@ -129,9 +131,11 @@ Tensor layer_norm_lastdim(const Tensor& x_in, const Tensor& gamma_in,
   // buffer entirely (the per-element arithmetic producing `out` is identical
   // either way, keeping NoGrad and tape forwards bit-identical).
   const bool tape = detail::tape_active({&x, &gamma, &beta});
-  std::vector<float> out(static_cast<std::size_t>(x.numel()));
-  std::vector<float> xhat(tape ? static_cast<std::size_t>(x.numel()) : 0);
-  std::vector<float> inv_std(tape ? static_cast<std::size_t>(rows) : 0);
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(x.numel()));
+  Buffer xhat =
+      Buffer::uninitialized(tape ? static_cast<std::size_t>(x.numel()) : 0);
+  Buffer inv_std =
+      Buffer::uninitialized(tape ? static_cast<std::size_t>(rows) : 0);
   const float* xd = x.data().data();
   const float* gd = gamma.data().data();
   const float* bd = beta.data().data();
@@ -215,7 +219,7 @@ Tensor mean_over_time(const Tensor& x_in) {
   const std::int64_t b = x.size(0);
   const std::int64_t t = x.size(1);
   const std::int64_t d = x.size(2);
-  std::vector<float> out(static_cast<std::size_t>(b * d), 0.0F);
+  Buffer out = Buffer::zeros(static_cast<std::size_t>(b * d));
   const float* xd = x.data().data();
   for (std::int64_t i = 0; i < b; ++i) {
     for (std::int64_t s = 0; s < t; ++s) {

@@ -31,7 +31,7 @@ Tensor contiguous(const Tensor& a) {
   if (a.is_contiguous()) return a;
   const TensorImpl& impl = *a.impl();
   detail::note_materializing_copy();
-  std::vector<float> out(static_cast<std::size_t>(impl.numel()));
+  Buffer out = Buffer::uninitialized(static_cast<std::size_t>(impl.numel()));
   const float* src = impl.storage->data.data();
   detail::for_each_element(impl.shape, impl.strides, impl.offset,
                            [&](std::int64_t flat, std::int64_t si) {
@@ -193,7 +193,8 @@ Tensor concat(const std::vector<Tensor>& tensors, std::int64_t dim) {
     inner *= out_shape[d];
   }
 
-  std::vector<float> out(static_cast<std::size_t>(numel_of(out_shape)));
+  Buffer out =
+      Buffer::uninitialized(static_cast<std::size_t>(numel_of(out_shape)));
   std::vector<std::int64_t> offsets;  // running offset of each input in `dim`
   offsets.reserve(srcs.size());
   {

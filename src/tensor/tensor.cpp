@@ -23,8 +23,7 @@ bool dense_row_major(const Shape& shape,
   return true;
 }
 
-std::shared_ptr<TensorImpl> make_dense_impl(Shape shape,
-                                            std::vector<float> values,
+std::shared_ptr<TensorImpl> make_dense_impl(Shape shape, Buffer values,
                                             bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->count = static_cast<std::int64_t>(values.size());
@@ -38,9 +37,11 @@ std::shared_ptr<TensorImpl> make_dense_impl(Shape shape,
 
 }  // namespace
 
-std::vector<float>& TensorImpl::grad_buffer() {
+Buffer& TensorImpl::grad_buffer() {
   auto& g = storage->grad;
-  if (g.size() != storage->data.size()) g.assign(storage->data.size(), 0.0F);
+  if (g.size() != storage->data.size()) {
+    g = Buffer::zeros(storage->data.size());
+  }
   return g;
 }
 
@@ -53,16 +54,20 @@ Tensor Tensor::ones(Shape shape, bool requires_grad) {
 }
 
 Tensor Tensor::full(Shape shape, float value, bool requires_grad) {
-  const std::int64_t n = numel_of(shape);
-  std::vector<float> values(static_cast<std::size_t>(n), value);
+  const auto n = static_cast<std::size_t>(numel_of(shape));
   return Tensor(
-      make_dense_impl(std::move(shape), std::move(values), requires_grad));
+      make_dense_impl(std::move(shape), Buffer::full(n, value), requires_grad));
 }
 
 Tensor Tensor::scalar(float value) { return full({1}, value, false); }
 
 Tensor Tensor::from_data(Shape shape, std::vector<float> values,
                          bool requires_grad) {
+  return from_data(std::move(shape), Buffer(std::move(values)),
+                   requires_grad);
+}
+
+Tensor Tensor::from_data(Shape shape, Buffer values, bool requires_grad) {
   if (numel_of(shape) != static_cast<std::int64_t>(values.size())) {
     throw std::invalid_argument("from_data: size mismatch for shape " +
                                 shape_str(shape));
@@ -73,16 +78,16 @@ Tensor Tensor::from_data(Shape shape, std::vector<float> values,
 
 Tensor Tensor::randn(Shape shape, util::Rng& rng, float stddev,
                      bool requires_grad) {
-  const std::int64_t n = numel_of(shape);
-  std::vector<float> values(static_cast<std::size_t>(n));
+  Buffer values =
+      Buffer::uninitialized(static_cast<std::size_t>(numel_of(shape)));
   for (auto& v : values) v = static_cast<float>(rng.normal(0.0, stddev));
   return from_data(std::move(shape), std::move(values), requires_grad);
 }
 
 Tensor Tensor::rand_uniform(Shape shape, util::Rng& rng, float lo, float hi,
                             bool requires_grad) {
-  const std::int64_t n = numel_of(shape);
-  std::vector<float> values(static_cast<std::size_t>(n));
+  Buffer values =
+      Buffer::uninitialized(static_cast<std::size_t>(numel_of(shape)));
   for (auto& v : values) v = static_cast<float>(rng.uniform(lo, hi));
   return from_data(std::move(shape), std::move(values), requires_grad);
 }
@@ -182,7 +187,8 @@ float Tensor::at(std::int64_t flat_index) const {
 
 Tensor Tensor::clone() const {
   if (!impl_) return Tensor();
-  std::vector<float> values(static_cast<std::size_t>(impl_->count));
+  Buffer values =
+      Buffer::uninitialized(static_cast<std::size_t>(impl_->count));
   if (impl_->contiguous) {
     std::copy_n(impl_->data_ptr(), values.size(), values.begin());
   } else {

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/buffer.hpp"
 #include "tensor/grad_mode.hpp"
 #include "tensor/shape.hpp"
 #include "util/rng.hpp"
@@ -46,10 +47,11 @@ struct AutogradNode {
 /// Reference-counted buffer shared by every view of one allocation. The
 /// gradient lives here too: views of a base tensor accumulate their
 /// gradients straight into the base's buffer, which is what makes view
-/// backward a no-op (graph connectivity only, no data movement).
+/// backward a no-op (graph connectivity only, no data movement). Both
+/// buffers return to the buffer pool when the last view dies.
 struct Storage {
-  std::vector<float> data;
-  std::vector<float> grad;  // lazily allocated, same size as data
+  Buffer data;
+  Buffer grad;  // lazily allocated, same size as data
 };
 
 struct TensorImpl {
@@ -79,7 +81,7 @@ struct TensorImpl {
 
   /// Returns the storage-level gradient buffer, allocating zeros on first
   /// use. Shared by all views of this storage.
-  std::vector<float>& grad_buffer();
+  Buffer& grad_buffer();
   /// Offset-adjusted gradient pointer; allocates the buffer on first use.
   float* grad_ptr() { return grad_buffer().data() + offset; }
   /// Const variant: requires the buffer to be allocated already (backward()
@@ -105,6 +107,8 @@ class Tensor {
   static Tensor scalar(float value);
   /// Takes ownership of `values`; size must equal numel(shape).
   static Tensor from_data(Shape shape, std::vector<float> values,
+                          bool requires_grad = false);
+  static Tensor from_data(Shape shape, Buffer values,
                           bool requires_grad = false);
   static Tensor randn(Shape shape, util::Rng& rng, float stddev = 1.0F,
                       bool requires_grad = false);
@@ -219,7 +223,7 @@ void attach_node(Tensor& out, const std::vector<Tensor>& inputs,
 /// only on the tape path, so NoGrad forwards allocate no AutogradNode, no
 /// parent edges, and no std::function capture state.
 template <typename BackwardFactory>
-Tensor make_result(Shape shape, std::vector<float> data,
+Tensor make_result(Shape shape, Buffer data,
                    std::initializer_list<const Tensor*> inputs,
                    const char* op_name, BackwardFactory&& factory) {
   const bool record = tape_active(inputs);
@@ -230,7 +234,7 @@ Tensor make_result(Shape shape, std::vector<float> data,
 
 /// Overload for ops with a runtime-sized input list (concat/stack).
 template <typename BackwardFactory>
-Tensor make_result(Shape shape, std::vector<float> data,
+Tensor make_result(Shape shape, Buffer data,
                    const std::vector<Tensor>& inputs, const char* op_name,
                    BackwardFactory&& factory) {
   const bool record = tape_active(inputs);

@@ -5,14 +5,22 @@
 // decoupling — plus the stride-honoring at()/item() accessors and the
 // zero-materializing-copy contract of a NoGrad backbone forward (counted by
 // detail::materializing_copies(), the view analogue of
-// autograd_nodes_created()).
+// autograd_nodes_created()). The BufferPool tests pin the recycling of
+// Storage buffers: a warm training step takes no fresh buffer
+// (detail::fresh_buffers()) and computes bit-identical results, the pool
+// stays within its bound, and threads share it safely.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "gradcheck.hpp"
 #include "models/backbone.hpp"
+#include "models/classifier.hpp"
+#include "tensor/buffer.hpp"
 #include "tensor/grad_mode.hpp"
+#include "tensor/loss.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/reduce.hpp"
 #include "tensor/shape_ops.hpp"
@@ -209,6 +217,130 @@ TEST(Views, NoGradBackboneForwardPerformsZeroCopies) {
       << "NoGrad backbone forward must not materialize any view";
   EXPECT_EQ(detail::autograd_nodes_created(), nodes);
   EXPECT_EQ(out.shape(), (Shape{2, 16, config.hidden_dim}));
+}
+
+struct StepResult {
+  std::vector<float> logits;
+  float loss = 0.0F;
+  std::vector<std::vector<float>> grads;
+};
+
+// One backbone + GRU classifier training step (forward, loss, backward);
+// the graph and every op output die before it returns.
+StepResult train_step(models::LimuBertBackbone& backbone,
+                      models::GruClassifier& classifier, const Tensor& x,
+                      const std::vector<std::int64_t>& labels) {
+  backbone.zero_grad();
+  classifier.zero_grad();
+  const Tensor logits = classifier.forward(backbone.encode(x));
+  Tensor loss = cross_entropy(logits, labels);
+  loss.backward();
+  StepResult result;
+  result.logits.assign(logits.data().begin(), logits.data().end());
+  result.loss = loss.item();
+  for (Tensor p : backbone.parameters()) {
+    result.grads.emplace_back(p.grad().begin(), p.grad().end());
+  }
+  for (Tensor p : classifier.parameters()) {
+    result.grads.emplace_back(p.grad().begin(), p.grad().end());
+  }
+  return result;
+}
+
+// The recycling contract: once a step has run, an identical step is served
+// entirely from the buffers the first one freed, and reading recycled
+// (stale) buffers changes no bit of the logits, the loss or any gradient.
+TEST(BufferPool, WarmTrainingStepTakesNoFreshBuffers) {
+  models::BackboneConfig config;
+  config.max_seq_len = 32;
+  config.hidden_dim = 24;
+  config.num_blocks = 2;
+  config.num_heads = 2;
+  config.ff_dim = 48;
+  config.dropout = 0.0;
+  models::LimuBertBackbone backbone(config);
+  models::ClassifierConfig head;
+  head.input_dim = config.hidden_dim;
+  head.gru_hidden = 16;
+  models::GruClassifier classifier(head);
+  util::Rng rng(11);
+  const Tensor x = Tensor::randn({8, 32, 6}, rng);
+  const std::vector<std::int64_t> labels{0, 1, 2, 3, 4, 5, 0, 1};
+
+  const StepResult first = train_step(backbone, classifier, x, labels);
+  ASSERT_GT(detail::buffer_pool_stats().parked_bytes, 0U)
+      << "the first step's buffers must be parked for reuse";
+  const std::uint64_t fresh = detail::fresh_buffers();
+  const StepResult second = train_step(backbone, classifier, x, labels);
+  EXPECT_EQ(detail::fresh_buffers(), fresh)
+      << "a warm training step must reuse the buffers of the previous one";
+
+  EXPECT_EQ(second.logits, first.logits);
+  EXPECT_EQ(second.loss, first.loss);
+  ASSERT_EQ(second.grads.size(), first.grads.size());
+  for (std::size_t i = 0; i < first.grads.size(); ++i) {
+    EXPECT_EQ(second.grads[i], first.grads[i]) << "parameter " << i;
+  }
+}
+
+TEST(BufferPool, RecycledBuffersKeepFactoryContents) {
+  { const Tensor junk = Tensor::full({64, 64}, 7.0F); }
+  Tensor z = Tensor::zeros({64, 64}, true);
+  for (const float v : z.data()) ASSERT_EQ(v, 0.0F);
+  { const Tensor junk = Tensor::full({64, 64}, -3.0F); }
+  for (const float v : z.grad()) ASSERT_EQ(v, 0.0F);
+}
+
+// The pool's bound: it never holds more than the live high-water mark, and
+// parked plus live bytes stay within it, through a sweep of distinct shapes
+// where some tensors outlive others.
+TEST(BufferPool, ShapeSweepStaysWithinLiveHighWater) {
+  const auto check = [] {
+    const detail::BufferPoolStats s = detail::buffer_pool_stats();
+    EXPECT_LE(s.parked_bytes, s.high_water_bytes);
+    EXPECT_LE(s.parked_bytes + s.live_bytes, s.high_water_bytes);
+  };
+  std::vector<Tensor> kept;
+  for (std::int64_t i = 0; i < 20; ++i) {
+    // Growing then shrinking row counts: each shape differs from the last.
+    const std::int64_t rows = i < 10 ? 4 + 9 * i : 190 - 9 * i;
+    const Tensor t = Tensor::full({rows, 257}, static_cast<float>(i));
+    const Tensor u = add(t, t);
+    if (i % 3 == 0) kept.push_back(u);
+    check();
+  }
+  kept.clear();
+  check();
+}
+
+// Four threads allocate, fill, check and free tensors of overlapping sizes at
+// once (TSan-checked in scripts/check.sh): no buffer is handed out twice,
+// zeros stay zero, and every byte returns to the pool.
+TEST(BufferPool, FourThreadsAllocateAndFreeConcurrently) {
+  const std::size_t live_before = detail::buffer_pool_stats().live_bytes;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &wrong] {
+      const auto value = static_cast<float>(t + 1);
+      std::vector<Tensor> ring(3);
+      int mismatches = 0;
+      for (int i = 0; i < 300; ++i) {
+        const std::int64_t rows = 2 + (i * 7 + t * 13) % 40;
+        const Tensor a = Tensor::full({rows, 512}, value);
+        const Tensor z = Tensor::zeros({rows, 256});
+        const Tensor b = add(a, a);
+        for (const float v : a.data()) mismatches += v != value;
+        for (const float v : z.data()) mismatches += v != 0.0F;
+        for (const float v : b.data()) mismatches += v != 2.0F * value;
+        ring[static_cast<std::size_t>(i) % ring.size()] = b;
+      }
+      wrong += mismatches;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(detail::buffer_pool_stats().live_bytes, live_before);
 }
 
 }  // namespace
